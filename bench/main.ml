@@ -1936,7 +1936,7 @@ let e_chaos () =
 let e_ingest () =
   header
     "E-ingest: batched ingestion (vectorized send, route coalescing, \
-     cross-shard flush)";
+     one message per shard)";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let events = if smoke then 2_048 else 16_384 in
   let tickers = 64 in
@@ -2121,7 +2121,7 @@ let e_ingest () =
       row "  bench-smoke gate: batch=64 >= 3x batch=1 on one shard (%.1fx, \
            ok)\n"
         (b64 /. b1);
-    (* and the cross-shard flush must coalesce mailbox traffic >= 8x *)
+    (* and ingest's one message per shard must cut mailbox traffic >= 8x *)
     let p1 = pushes_of 4 1 and p64 = pushes_of 4 64 in
     if p1 < 8 * p64 then begin
       row "  FAIL: batch=64 mailbox pushes %d not >= 8x fewer than batch=1 \

@@ -185,22 +185,17 @@ end
 module Mpsc = struct
   type 'a t = {
     head : 'a list Atomic.t; (* newest first *)
-    size : int Atomic.t; (* total weight of queued messages *)
-    (* weight of one message: a job vector counts as its length, so the
-       bounded capacity and depth gauges stay in *jobs* even when many jobs
-       travel in one message *)
-    weigh : 'a -> int;
+    size : int Atomic.t; (* queued messages *)
     pushes : int Atomic.t; (* successful CAS publications, monotone *)
     lock : Mutex.t;
     cond : Condition.t;
     sleeping : bool Atomic.t;
   }
 
-  let create ?(weigh = fun _ -> 1) () =
+  let create () =
     {
       head = Atomic.make [];
       size = Atomic.make 0;
-      weigh;
       pushes = Atomic.make 0;
       lock = Mutex.create ();
       cond = Condition.create ();
@@ -222,14 +217,13 @@ module Mpsc = struct
     end
 
   let push t x =
-    ignore (Atomic.fetch_and_add t.size (t.weigh x));
+    ignore (Atomic.fetch_and_add t.size 1);
     push_raw t x;
     signal t
 
   let try_push t ~capacity x =
-    let w = t.weigh x in
-    if Atomic.fetch_and_add t.size w > capacity - w then begin
-      ignore (Atomic.fetch_and_add t.size (-w));
+    if Atomic.fetch_and_add t.size 1 >= capacity then begin
+      ignore (Atomic.fetch_and_add t.size (-1));
       false
     end
     else begin
@@ -240,14 +234,12 @@ module Mpsc = struct
 
   let depth t = max 0 (Atomic.get t.size)
 
-  let weight_of t xs = List.fold_left (fun acc x -> acc + t.weigh x) 0 xs
-
   (* consumer or supervisor: everything queued right now, without blocking *)
   let take_now t =
     match Atomic.exchange t.head [] with
     | [] -> []
     | xs ->
-      ignore (Atomic.fetch_and_add t.size (-weight_of t xs));
+      ignore (Atomic.fetch_and_add t.size (-List.length xs));
       List.rev xs
 
   (* consumer only; blocks until a message is available or [cancelled ()]
@@ -267,7 +259,7 @@ module Mpsc = struct
         take t ~cancelled
       end
     | xs ->
-      ignore (Atomic.fetch_and_add t.size (-weight_of t xs));
+      ignore (Atomic.fetch_and_add t.size (-List.length xs));
       List.rev xs
 
   (* unconditional wake for cancellation — bypasses the sleeping-flag
@@ -286,15 +278,7 @@ type job = {
   abort : (error -> unit) option; (* invoked when the job is discarded *)
 }
 
-(* [Jobs] is a cross-shard flush: a vector of jobs (in submission order)
-   published as one MPSC message — one CAS, one wakeup — instead of one per
-   job.  Capacity, depth and every job-granular counter still account the
-   vector's length (the inbox weighs messages in jobs). *)
-type msg = Stop | Job of job | Jobs of job list
-
-let weigh_msg = function
-  | Stop | Job _ -> 1
-  | Jobs js -> List.length js
+type msg = Stop | Job of job
 
 (* encoded shard_state for lock-free cross-domain reads *)
 let s_ready = 0
@@ -374,8 +358,7 @@ type stats = {
   shed : int;
   dead_lettered : int;
   timeouts : int;
-  mpsc_pushes : int; (* successful inbox CASes, pool-wide: a flushed job
-                        vector counts once, so batching shows up here *)
+  mpsc_pushes : int; (* successful inbox CASes, pool-wide *)
 }
 
 (* Which shard (of which pool) the current domain is executing for: lets a
@@ -422,29 +405,21 @@ let abort_job j err =
 
 (* An accepted message that will never run: dead-letter it (so an operator
    can replay after the cause clears) and surface the typed error to any
-   synchronous waiter.  A job vector is unbundled — each job is discarded,
-   dead-lettered and aborted individually, so accounting and replay stay
-   job-granular. *)
-let reject_job (t : t) idx err j =
-  ignore (Atomic.fetch_and_add t.discarded 1);
-  record_dead_letter t idx j;
-  abort_job j err
-
+   synchronous waiter. *)
 let reject (t : t) idx err = function
   | Stop -> ()
-  | Job j -> reject_job t idx err j
-  | Jobs js -> List.iter (reject_job t idx err) js
+  | Job j ->
+    ignore (Atomic.fetch_and_add t.discarded 1);
+    record_dead_letter t idx j;
+    abort_job j err
 
 (* Stop is final — no replay possible — so shutdown leftovers are discarded
    without parking them in the dead-letter ring. *)
-let discard_job_at_stop (t : t) j =
-  ignore (Atomic.fetch_and_add t.discarded 1);
-  abort_job j Stopped
-
 let discard_at_stop (t : t) = function
   | Stop -> ()
-  | Job j -> discard_job_at_stop t j
-  | Jobs js -> List.iter (discard_job_at_stop t) js
+  | Job j ->
+    ignore (Atomic.fetch_and_add t.discarded 1);
+    abort_job j Stopped
 
 (* --- durability-deferred completions ----------------------------------------
    A job that wants its waiter released only once its commits are sealed
@@ -543,61 +518,6 @@ let accept t sh j =
       in
       wait 1
 
-(* [accept] for a flushed job vector: the whole flush is admitted or
-   rejected atomically as one message (one CAS, one wakeup), and the
-   backpressure policies account all [k] jobs — capacity is charged in
-   jobs (the inbox weighs a vector as its length), a shed flush bumps the
-   shed counter by [k], and a dead-lettered flush parks each job
-   individually so replay stays job-granular. *)
-let accept_many t sh js =
-  let k = List.length js in
-  let msg = Jobs js in
-  if Mpsc.try_push sh.inbox ~capacity:t.capacity msg then begin
-    ignore (Atomic.fetch_and_add t.enqueued k);
-    Ok ()
-  end
-  else
-    match t.policy with
-    | Shed_newest ->
-      ignore (Atomic.fetch_and_add t.shed k);
-      Obs.Metrics.add st_shed k;
-      Error (Overloaded sh.idx)
-    | Dead_letter ->
-      ignore (Atomic.fetch_and_add t.shed k);
-      List.iter (record_dead_letter t sh.idx) js;
-      Error (Dead_lettered sh.idx)
-    | Block { max_wait_ms } ->
-      let deadline =
-        Obs.Clock.now_ns () +. (float_of_int max_wait_ms *. 1e6)
-      in
-      let rec wait attempt =
-        (match Domain.DLS.get current_ctx with
-        | Some c when c.c_pool == t ->
-          Atomic.set t.shards.(c.c_idx).busy_since (Obs.Clock.now_ns ())
-        | _ -> ());
-        if Atomic.get t.stopped then Error Stopped
-        else if get_state sh = `Degraded then Error (Degraded sh.idx)
-        else if Mpsc.try_push sh.inbox ~capacity:t.capacity msg then begin
-          ignore (Atomic.fetch_and_add t.enqueued k);
-          Ok ()
-        end
-        else if Obs.Clock.now_ns () >= deadline then begin
-          ignore (Atomic.fetch_and_add t.shed k);
-          Obs.Metrics.add st_shed k;
-          Error (Overloaded sh.idx)
-        end
-        else begin
-          (try
-             Unix.sleepf
-               (Error_policy.retry_delay ~base:0.0001 ~cap:0.002
-                  ~rand:(fun () -> Random.float 1.)
-                  attempt)
-           with Unix.Unix_error _ -> ());
-          wait (attempt + 1)
-        end
-      in
-      wait 1
-
 let submit t idx ~run ~abort =
   if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
   if Atomic.get t.stopped then Error Stopped
@@ -657,10 +577,6 @@ let post t oid meth args =
   post_on t (shard_of t oid) (fun sys ->
       ignore (Db.send (System.db sys) oid meth args))
 
-let call ?timeout_ms t oid meth args =
-  run_on ?timeout_ms t (shard_of t oid) (fun sys ->
-      Db.send (System.db sys) oid meth args)
-
 let each ?timeout_ms t f =
   let rec go i acc =
     if i >= t.n then Ok (List.rev acc)
@@ -671,178 +587,54 @@ let each ?timeout_ms t f =
   in
   go 0 []
 
-(* --- cross-shard message batching ------------------------------------------ *)
-
-(* A posting-side buffer: cross-shard submissions accumulate per destination
-   shard and each destination's run is flushed as one [Jobs] vector — one
-   CAS and one wakeup instead of one per job.  Not thread-safe: one batch
-   belongs to one posting thread (make one per producer). *)
-type batch = {
-  b_pool : t;
-  b_cap : int; (* per-destination flush threshold, in jobs *)
-  b_jobs : job list array; (* newest first, one buffer per destination *)
-  b_len : int array;
-}
-
-let batch ?(flush_max = 64) t =
-  if flush_max < 1 then invalid_arg "Shard_pool.batch: flush_max must be >= 1";
-  {
-    b_pool = t;
-    (* a flush must fit the bounded inbox or Block would spin forever *)
-    b_cap = min flush_max t.capacity;
-    b_jobs = Array.make t.n [];
-    b_len = Array.make t.n 0;
-  }
-
-let flush_shard b idx =
-  match b.b_jobs.(idx) with
-  | [] -> Ok ()
-  | rev ->
-    b.b_jobs.(idx) <- [];
-    b.b_len.(idx) <- 0;
-    let t = b.b_pool in
-    let sh = t.shards.(idx) in
-    let js = List.rev rev in
-    if Atomic.get t.stopped then begin
-      List.iter (fun j -> abort_job j Stopped) js;
-      Error Stopped
-    end
-    else if get_state sh = `Degraded then begin
-      (* the shard degraded after these jobs were buffered: they were never
-         accepted, so only their waiters need the typed error *)
-      List.iter (fun j -> abort_job j (Degraded idx)) js;
-      Error (Degraded idx)
-    end
-    else begin
-      match js with [ j ] -> accept t sh j | js -> accept_many t sh js
-    end
-
-let flush b =
-  let err = ref None in
-  for idx = 0 to b.b_pool.n - 1 do
-    match flush_shard b idx with
-    | Ok () -> ()
-    | Error e -> if !err = None then err := Some e
-  done;
-  match !err with None -> Ok () | Some e -> Error e
-
-let batch_submit b idx ~run ~abort =
-  let t = b.b_pool in
-  if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
-  if Atomic.get t.stopped then Error Stopped
-  else if t.n = 1 then submit t idx ~run ~abort
-  else
-    match Domain.DLS.get current_ctx with
-    | Some c when c.c_pool == t && c.c_idx = idx ->
-      (* on the owning shard already: inline, never buffered — buffering
-         behind the running job would deadlock a synchronous waiter *)
-      submit t idx ~run ~abort
-    | ctx ->
-      (match ctx with
-      | Some c when c.c_pool == t ->
-        ignore (Atomic.fetch_and_add t.forwarded 1)
-      | _ -> ());
-      b.b_jobs.(idx) <-
-        { run; trace = Obs.Trace.current (); abort } :: b.b_jobs.(idx);
-      b.b_len.(idx) <- b.b_len.(idx) + 1;
-      if b.b_len.(idx) >= b.b_cap then flush_shard b idx else Ok ()
-
-let batch_post_on b idx run = batch_submit b idx ~run ~abort:None
-
-let batch_post b oid meth args =
-  batch_post_on b
-    (shard_of b.b_pool oid)
-    (fun sys -> ignore (Db.send (System.db sys) oid meth args))
-
 (* --- batched ingestion ------------------------------------------------------ *)
 
-let ingest ?flush_max ?(wait = false) t events =
-  match events with
-  | [] -> Ok ()
-  | _ ->
-    if Atomic.get t.stopped then Error Stopped
-    else if t.n = 1 then begin
-      (* inline engine: the single shard's system ingests the whole batch
-         synchronously, under the same containment frame as [submit] *)
-      let sh = t.shards.(0) in
-      (match System.ingest (system_exn sh) events with
-      | Ok _ -> ()
-      | Error e -> note_failure t sh e);
-      ignore (Atomic.fetch_and_add sh.processed 1);
-      Ok ()
-    end
-    else begin
-      (* partition by owning shard, preserving per-shard event order, then
-         hand each destination ONE job that ingests its whole sub-batch: the
-         shard side amortizes the transaction + route-coalescing scope, and
-         the posting side ships at most one message per destination *)
-      let groups = Array.make t.n [] in
-      List.iter
-        (fun ((oid, _, _) as ev) ->
-          let idx = shard_of t oid in
-          groups.(idx) <- ev :: groups.(idx))
-        events;
-      let b = batch ?flush_max t in
-      let err = ref None in
-      let note e = if !err = None then err := Some e in
-      let ivs = ref [] in
-      Array.iteri
-        (fun idx rev ->
-          match rev with
-          | [] -> ()
-          | rev ->
-            let sub = List.rev rev in
-            let res =
-              if not wait then
-                batch_post_on b idx (fun sys ->
-                    match System.ingest sys sub with
-                    | Ok _ -> ()
-                    (* re-raise so the job boundary records the shard
-                       failure: the sub-batch transaction already rolled
-                       back *)
-                    | Error e -> raise e)
-              else begin
-                (* synchronous sub-batch: the waiter is released from the
-                   shard's next durability point when the pool seals on
-                   idle, from the job itself otherwise.  The ivar is
-                   first-fill-wins, so filling again on a submit error or
-                   an abort is safe. *)
-                let iv = Ivar.create () in
-                ivs := iv :: !ivs;
-                let r =
-                  batch_submit b idx
-                    ~run:(fun sys ->
-                      let r = System.ingest sys sub in
-                      let fin () =
-                        Ivar.fill iv
-                          (match r with
-                          | Ok _ -> Ok ()
-                          | Error _ -> Error (Degraded idx))
-                      in
-                      if not (defer_durable t idx fin) then fin ();
-                      match r with Ok _ -> () | Error e -> raise e)
-                    ~abort:(Some (fun e -> Ivar.fill iv (Error e)))
-                in
-                (* a rejected submit may drop the job without running its
-                   abort (backpressure shed): release this waiter here *)
-                (match r with Error e -> Ivar.fill iv (Error e) | Ok () -> ());
-                r
-              end
+(* Partition by owning shard, preserving per-shard event order, then submit
+   ONE job per destination that ingests its whole sub-batch: the shard side
+   amortizes the transaction + route-coalescing scope, and the posting side
+   ships one message per destination.  At one shard [submit] runs the job
+   inline on the caller. *)
+let ingest ?(wait = false) t events =
+  let groups = Array.make t.n [] in
+  List.iter
+    (fun ((oid, _, _) as ev) ->
+      let idx = shard_of t oid in
+      groups.(idx) <- ev :: groups.(idx))
+    events;
+  let err = ref None in
+  let note e = if !err = None then err := Some e in
+  let ivs = ref [] in
+  Array.iteri
+    (fun idx -> function
+      | [] -> ()
+      | rev -> (
+        let sub = List.rev rev in
+        let iv = if wait then Some (Ivar.create ()) else None in
+        let run sys =
+          let r = System.ingest sys sub in
+          (* a waiter is released from the shard's next durability point
+             when the pool seals on idle, from the job itself otherwise *)
+          (match iv with
+          | Some iv ->
+            let fin () =
+              Ivar.fill iv
+                (match r with Ok _ -> Ok () | Error _ -> Error (Degraded idx))
             in
-            (match res with Ok () -> () | Error e -> note e))
-        groups;
-      (match flush b with
-      | Ok () -> ()
-      | Error e ->
-        (* a flush rejection may have dropped buffered jobs without their
-           abort callbacks: make sure no waiter is left parked *)
-        List.iter (fun iv -> Ivar.fill iv (Error e)) !ivs;
-        note e);
-      List.iter
-        (fun iv -> match Ivar.read iv with Ok () -> () | Error e -> note e)
-        !ivs;
-      match !err with None -> Ok () | Some e -> Error e
-    end
+            if not (defer_durable t idx fin) then fin ()
+          | None -> ());
+          (* re-raise so the job boundary records the shard failure: the
+             sub-batch transaction already rolled back *)
+          match r with Ok _ -> () | Error e -> raise e
+        in
+        let abort = Option.map (fun iv e -> Ivar.fill iv (Error e)) iv in
+        match submit t idx ~run ~abort with
+        | Error e -> note e
+        | Ok () -> Option.iter (fun iv -> ivs := iv :: !ivs) iv))
+    groups;
+  List.iter
+    (fun iv -> match Ivar.read iv with Ok () -> () | Error e -> note e)
+    !ivs;
+  match !err with None -> Ok () | Some e -> Error e
 
 let kill t idx =
   if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
@@ -1023,19 +815,6 @@ let worker t sh ~gen ready =
            Atomic.set sh.busy_since 0.;
            finish sh ~gen;
            loop ()
-         | `Run (Jobs js) ->
-           (* a flushed vector: per-job heartbeat/busy refresh so the
-              wedge watchdog sees progress inside a long vector, and
-              per-job containment exactly as if each had arrived alone *)
-           List.iter
-             (fun j ->
-               Atomic.set sh.busy_since (Obs.Clock.now_ns ());
-               ignore (Atomic.fetch_and_add sh.heartbeat 1);
-               run_job t sh sys ~trace:j.trace j.run)
-             js;
-           Atomic.set sh.busy_since 0.;
-           finish sh ~gen;
-           loop ()
          | `Empty ->
            let batch =
              (* grab anything that raced in without blocking first: the
@@ -1177,12 +956,9 @@ let restart t sup sh ~wedged =
     let queued = Mpsc.take_now sh.inbox in
     List.iter (Mpsc.push sh.inbox) (rest @ queued);
     (* the in-flight message crashed or wedged this shard: dead-letter it
-       rather than replay it into the fresh engine.  For a job vector that
-       is the whole vector — job-granular replay after a mid-vector crash
-       would need per-job completion tracking; the operator replaying a
-       vector's dead letters may re-run its completed prefix. *)
+       rather than replay it into the fresh engine *)
     (match cur with
-    | Some ((Job _ | Jobs _) as m) -> reject t sh.idx (Dead_lettered sh.idx) m
+    | Some (Job _ as m) -> reject t sh.idx (Dead_lettered sh.idx) m
     | Some Stop -> Mpsc.push sh.inbox Stop
     | None -> ());
     spawn_worker t sh None
@@ -1308,7 +1084,7 @@ let create ?on_failure ?on_idle ?(failure_log_limit = 128)
         Array.init n (fun idx ->
             {
               idx;
-              inbox = Mpsc.create ~weigh:weigh_msg ();
+              inbox = Mpsc.create ();
               system = None;
               domain = None;
               processed = Atomic.make 0;

@@ -18,16 +18,17 @@
 
     {2 Execution model}
 
-    Jobs posted from outside run on the owning shard's domain in mailbox
-    order.  A job posted from {e inside} a shard to itself runs inline
-    (normal nested-send cascade semantics); to a sibling it is forwarded as
-    a message carrying the current trace id, so a cascade keeps one trace
-    across the hop ({!Obs.Trace.with_trace} on the receiving side).  A job
-    that raises is contained at the job boundary — counted, logged to a
-    bounded failure ring, reported to [on_failure] — and the shard keeps
-    consuming; one shard's poison rule cannot poison a sibling.  (Failures
-    {e inside} a firing are still governed by each rule's
-    {!Error_policy} exactly as in the single-domain engine.)
+    Work posted from outside runs on the owning shard's domain in mailbox
+    order, one job per mailbox message.  A job posted from {e inside} a
+    shard to itself runs inline (normal nested-send cascade semantics); to
+    a sibling it is forwarded as a message carrying the current trace id,
+    so a cascade keeps one trace across the hop ({!Obs.Trace.with_trace}
+    on the receiving side).  A job that raises is contained at the job
+    boundary — counted, logged to a bounded failure ring, reported to
+    [on_failure] — and the shard keeps consuming; one shard's poison rule
+    cannot poison a sibling.  (Failures {e inside} a firing are still
+    governed by each rule's {!Error_policy} exactly as in the
+    single-domain engine.)
 
     A pool created with [shards:1] spawns no domain, no queue and no
     supervisor: jobs execute directly on the caller, making it semantically
@@ -36,11 +37,11 @@
     {2 Lifecycle and typed errors}
 
     A pool is {e live} from {!create} until {!stop}.  Every submission
-    ({!post}, {!post_on}, {!run_on}, {!call}) returns a typed
+    ({!post}, {!post_on}, {!run_on}, {!ingest}) returns a typed
     {!type:error} instead of raising or silently queueing when it cannot be
     accepted:
 
-    - {!Stopped} — the pool is stopped or stopping.  Jobs already queued
+    - {!Stopped} — the pool is stopped or stopping.  Messages already queued
       ahead of the internal stop marker still run; jobs behind it are
       discarded with their waiters woken ([Error (Shard_error Stopped)]).
     - [Degraded i] — shard [i] exhausted its restart budget; sends to it
@@ -155,10 +156,10 @@ type stats = {
   dead_lettered : int;  (** jobs ever parked in the dead-letter ring *)
   timeouts : int;  (** {!run_on} deadline expiries *)
   mpsc_pushes : int;
-      (** successful mailbox pushes, pool-wide.  A flushed job vector
-          ({!flush}) counts once however many jobs it carries, so
-          [enqueued / mpsc_pushes] measures cross-shard message
-          coalescing. *)
+      (** successful mailbox pushes, pool-wide.  Every message carries one
+          job: a per-event {!post} pushes once per event, while {!ingest}
+          pushes once per non-empty destination shard, however many events
+          that shard's sub-batch holds. *)
 }
 (** At [shards:1] jobs run synchronously on the caller and only
     [shard_processed]/[shard_failed] are maintained — the queue counters
@@ -211,16 +212,6 @@ val post : t -> Oodb.Oid.t -> string -> Oodb.Value.t list -> (unit, error) resul
     the lifecycle section for the error cases.  The send's result value is
     discarded; failures inside it are contained per shard. *)
 
-val call :
-  ?timeout_ms:int ->
-  t ->
-  Oodb.Oid.t ->
-  string ->
-  Oodb.Value.t list ->
-  (Oodb.Value.t, exn) result
-(** Route a send and wait for its result.  Typed lifecycle errors arrive as
-    [Error (Shard_error _)]. *)
-
 val post_on : t -> int -> (System.t -> unit) -> (unit, error) result
 (** Run an arbitrary job on a shard, asynchronously. *)
 
@@ -241,70 +232,29 @@ val run_on : ?timeout_ms:int -> t -> int -> (System.t -> 'a) -> ('a, exn) result
     A waiter whose job is displaced by a restart, degrade or stop is woken
     with the corresponding typed error instead of blocking forever. *)
 
-(** {2 Cross-shard message batching}
-
-    A {!type:batch} buffers cross-shard submissions per destination shard and
-    flushes each destination's run as one job {e vector} — one mailbox CAS
-    and one worker wakeup for the whole vector instead of one per job.  The
-    receiving shard executes the vector's jobs in order, with per-job
-    heartbeat, failure containment and accounting identical to individually
-    posted jobs; backpressure treats a flush as one all-or-nothing unit of
-    [length] jobs (a shed or dead-lettered flush sheds/parks every job in
-    it).  A batch is single-producer: create one per posting thread. *)
-
-type batch
-
-val batch : ?flush_max:int -> t -> batch
-(** A fresh empty batch over the pool.  A destination's buffer auto-flushes
-    when it reaches [flush_max] jobs (default 64, silently capped at the
-    pool's [inbox_capacity] so a vector always fits the bounded mailbox).
-    [invalid_arg] when [flush_max < 1]. *)
-
-val batch_post :
-  batch -> Oodb.Oid.t -> string -> Oodb.Value.t list -> (unit, error) result
-(** {!post} through the batch: buffered per destination shard rather than
-    pushed immediately.  [Ok ()] means buffered (or, on auto-flush,
-    accepted); errors surface at flush time through {!flush}'s result and
-    each job's waiter.  Per-destination order is preserved; ordering
-    {e across} destinations follows flush order, as with interleaved
-    {!post}s racing distinct mailboxes.  On a 1-shard pool, or posting from
-    the destination shard itself, this degrades to the inline {!post} path
-    (never buffered — buffering behind the running job would deadlock a
-    synchronous waiter). *)
-
-val batch_post_on : batch -> int -> (System.t -> unit) -> (unit, error) result
-(** {!post_on} through the batch; same buffering contract as
-    {!batch_post}. *)
-
-val flush : batch -> (unit, error) result
-(** Push every non-empty destination buffer now (a single-job buffer goes as
-    a plain message, a multi-job buffer as one vector).  Buffered jobs whose
-    shard stopped or degraded since buffering have their waiters woken with
-    the typed error; the first error encountered is returned after {e all}
-    destinations have been attempted.  Idempotent on an empty batch, and the
-    batch is reusable after a flush. *)
-
 val ingest :
-  ?flush_max:int ->
   ?wait:bool ->
   t ->
   (Oodb.Oid.t * string * Oodb.Value.t list) list ->
   (unit, error) result
 (** Batched ingestion across the pool: partition the occurrence batch by
-    owning shard (preserving per-shard event order) and hand each
-    destination one job that runs {!System.ingest} on its sub-batch — so
-    each shard pays one transaction scope, one cascade trace and one
-    route-coalescing scope for its whole sub-batch, and the posting side
-    ships at most one message per destination.  By default asynchronous:
-    [Ok ()] means every sub-batch was accepted; {!drain} to await
-    execution.  A failing sub-batch rolls back on its shard (the
-    {!System.ingest} transaction) and is contained as a shard failure;
-    other shards' sub-batches are unaffected.  At [shards:1] the batch is
-    ingested inline on the caller.
+    owning shard (preserving per-shard event order) and submit one job per
+    non-empty destination, through the same path as {!post_on}, that runs
+    {!System.ingest} on its sub-batch — so each shard pays one transaction
+    scope, one cascade trace and one route-coalescing scope for its whole
+    sub-batch, and the posting side ships one single-job message per
+    destination.  By default asynchronous: [Ok ()] means every sub-batch
+    was accepted; {!drain} to await execution.  A failing sub-batch rolls
+    back on its shard (the {!System.ingest} transaction) and is contained
+    as a shard failure; other shards' sub-batches are unaffected.  A
+    sub-batch refused at submission (backpressure, stop, degrade) never
+    runs, and the first such error is returned after every destination has
+    been tried.  At [shards:1] the batch is ingested inline on the caller.
 
     [~wait:true] blocks until every sub-batch has {e executed}: [Ok ()]
     then means applied, and a failed sub-batch surfaces as
-    [Error (Degraded shard)] instead of a silent contained failure.  On a
+    [Error (Degraded shard)] instead of a silent contained failure, at any
+    shard count.  On a
     pool with an [on_idle] durability hook the wait extends through the
     owning shard's next idle seal — so with a [~group_commit] journal
     sealed from the hook, [Ok ()] means {e durable}, and concurrent
@@ -338,12 +288,12 @@ val recent_failures : t -> (int * exn) list
 (** Job-boundary failures, newest first: [(shard, exn)]. *)
 
 val dead_letter_count : t -> int
-(** Jobs currently parked in the dead-letter ring. *)
+(** How many jobs are parked in the dead-letter ring right now. *)
 
 val replay_dead_letters : t -> int
 (** Resubmit every parked job to its shard through the normal bounded
-    submission path; returns how many were accepted.  Jobs that cannot be
-    accepted (degraded shard, overflow) stay parked.  Replay re-executes
+    submission path; returns how many were accepted.  A job that cannot be
+    accepted (degraded shard, overflow) stays parked.  Replay re-executes
     the job verbatim — a poison job will poison again; {!purge_dead_letters}
     drops instead. *)
 
@@ -356,7 +306,7 @@ val system : t -> int -> System.t
     owning domain — {!drain} (or {!stop}) first. *)
 
 val stop : t -> unit
-(** Stop the supervisor, then the workers, and join their domains.  Jobs
+(** Stop the supervisor, then the workers, and join their domains.  Messages
     already queued ahead of the stop marker still run; jobs behind it are
     discarded with waiters woken ([Stopped]) — {!drain} first for a clean
     shutdown.  Abandoned wedged domains are joined if their poisoned job

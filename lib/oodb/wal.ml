@@ -1,9 +1,6 @@
 open Types
 
-let magic_v1 = "SENTINELWAL 1"
-let magic_v2 = "SENTINELWAL 2"
-
-type version = V1 | V2
+let magic = "SENTINELWAL 2"
 
 (* Group-commit window: the coordinator coalesces up to [max_batch] commits
    arriving within [max_wait_us] of the group opening into one WAL batch and
@@ -21,7 +18,6 @@ type t = {
   sync : bool;
   group : group_commit option;
   mutable w : Storage.writer;
-  mutable version : version;
   (* sequence number the next batch will carry; monotone across the life of
      the log, never reset by checkpoints *)
   mutable next_seq : int;
@@ -110,13 +106,12 @@ let decode_mutation line =
    apply the intact prefix and attach can truncate the wreckage. *)
 
 type batch = {
-  b_seq : int; (* 0 in v1 logs *)
+  b_seq : int;
   b_lines : string list;
   b_end : int; (* byte offset just past this batch *)
 }
 
 type scanned = {
-  s_version : version;
   s_batches : batch list; (* in file order *)
   s_valid_end : int; (* offset just past the last intact batch *)
   s_checksum_failures : int;
@@ -134,8 +129,7 @@ let scan data =
   in
   match next_line 0 with
   | None -> `Torn_header (* empty, or a crash mid-header: nothing durable *)
-  | Some (l, p0) when l = magic_v1 || l = magic_v2 ->
-    let version = if l = magic_v2 then V2 else V1 in
+  | Some (l, p0) when l = magic ->
     let cksum_fail = ref 0 in
     (* exactly [k] payload lines, or None on a torn tail *)
     let rec payload k q lines =
@@ -151,55 +145,39 @@ let scan data =
       | Some ("", p) -> batches acc p last_seq
       | Some (line, p) -> (
         let stop () = (List.rev acc, pos) in
-        match version with
-        | V2 -> (
-          match String.split_on_char ' ' line with
-          | [ "B"; seq_s; count_s; crc_s ] -> (
-            match (int_of_string_opt seq_s, int_of_string_opt count_s) with
-            | Some seq, Some count
-              when count >= 0 && seq >= 1
-                   && (match last_seq with None -> true | Some l -> seq = l + 1)
-              -> (
-              match payload count p [] with
-              | None -> stop () (* torn mid-batch *)
-              | Some (lines, q) -> (
-                match next_line q with
-                | Some ("E", q') ->
-                  let body =
-                    String.concat "" (List.map (fun l -> l ^ "\n") lines)
-                  in
-                  if
-                    String.equal crc_s
-                      (Storage.Crc32.to_hex (Storage.Crc32.string body))
-                  then
-                    batches
-                      ({ b_seq = seq; b_lines = lines; b_end = q' } :: acc)
-                      q' (Some seq)
-                  else begin
-                    incr cksum_fail;
-                    stop ()
-                  end
-                | _ -> stop ()))
-            | _ -> stop ())
-          | _ -> stop ())
-        | V1 ->
-          if line <> "B" then stop ()
-          else
-            let rec collect q lines =
+        match String.split_on_char ' ' line with
+        | [ "B"; seq_s; count_s; crc_s ] -> (
+          match (int_of_string_opt seq_s, int_of_string_opt count_s) with
+          | Some seq, Some count
+            when count >= 0 && seq >= 1
+                 && (match last_seq with None -> true | Some l -> seq = l + 1)
+            -> (
+            match payload count p [] with
+            | None -> stop () (* torn mid-batch *)
+            | Some (lines, q) -> (
               match next_line q with
-              | None -> None
-              | Some ("E", q') -> Some (List.rev lines, q')
-              | Some (l, q') -> collect q' (l :: lines)
-            in
-            (match collect p [] with
-            | None -> stop ()
-            | Some (lines, q) ->
-              batches ({ b_seq = 0; b_lines = lines; b_end = q } :: acc) q None))
+              | Some ("E", q') ->
+                let body =
+                  String.concat "" (List.map (fun l -> l ^ "\n") lines)
+                in
+                if
+                  String.equal crc_s
+                    (Storage.Crc32.to_hex (Storage.Crc32.string body))
+                then
+                  batches
+                    ({ b_seq = seq; b_lines = lines; b_end = q' } :: acc)
+                    q' (Some seq)
+                else begin
+                  incr cksum_fail;
+                  stop ()
+                end
+              | _ -> stop ()))
+          | _ -> stop ())
+        | _ -> stop ())
     in
     let bs, valid_end = batches [] p0 None in
     `Ok
       {
-        s_version = version;
         s_batches = bs;
         s_valid_end = valid_end;
         s_checksum_failures = !cksum_fail;
@@ -267,12 +245,9 @@ let write_batch_raw t entries =
       (List.rev entries);
     let body = Buffer.contents payload in
     let data =
-      match t.version with
-      | V2 ->
-        Printf.sprintf "B %d %d %s\n%sE\n" t.next_seq !n
-          (Storage.Crc32.to_hex (Storage.Crc32.string body))
-          body
-      | V1 -> "B\n" ^ body ^ "E\n"
+      Printf.sprintf "B %d %d %s\n%sE\n" t.next_seq !n
+        (Storage.Crc32.to_hex (Storage.Crc32.string body))
+        body
     in
     (* one write per batch: a transient fault lands nothing, so the bounded
        retry cannot duplicate a partially-written batch *)
@@ -283,10 +258,8 @@ let write_batch_raw t entries =
     t.n_batches <- t.n_batches + 1;
     t.n_entries <- t.n_entries + !n;
     t.wal_db.stats.wal_bytes <- t.wal_db.stats.wal_bytes + String.length data;
-    if t.version = V2 then begin
-      t.wal_db.wal_applied_seq <- t.next_seq;
-      t.next_seq <- t.next_seq + 1
-    end
+    t.wal_db.wal_applied_seq <- t.next_seq;
+    t.next_seq <- t.next_seq + 1
   end
 
 let write_batch t entries =
@@ -385,7 +358,7 @@ let sync t =
 
 let init_log storage sync db path =
   let w = storage.Storage.open_writer ~append:false path in
-  Storage.with_retries (fun () -> w.Storage.write (magic_v2 ^ "\n"));
+  Storage.with_retries (fun () -> w.Storage.write (magic ^ "\n"));
   w.Storage.flush ();
   if sync then begin
     w.Storage.fsync ();
@@ -394,7 +367,7 @@ let init_log storage sync db path =
   storage.Storage.fsync_dir path;
   w
 
-let header_bytes = String.length magic_v2 + 1
+let header_bytes = String.length magic + 1
 
 let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
   if db.on_journal <> None then
@@ -408,16 +381,16 @@ let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
   let fresh =
     (not (storage.Storage.exists path)) || storage.Storage.size path = 0
   in
-  let w, version, next_seq, bytes =
+  let w, next_seq, bytes =
     if fresh then
-      (init_log storage sync db path, V2, db.wal_applied_seq + 1, header_bytes)
+      (init_log storage sync db path, db.wal_applied_seq + 1, header_bytes)
     else begin
       let data = storage.Storage.read_file path in
       match scan data with
       | `Torn_header ->
         (* a crash while creating the log: no batch was ever durable, so
            reinitialize in place *)
-        (init_log storage sync db path, V2, db.wal_applied_seq + 1, header_bytes)
+        (init_log storage sync db path, db.wal_applied_seq + 1, header_bytes)
       | `Ok s ->
         (* repair: drop the torn or corrupt tail so appended batches stay
            reachable by replay *)
@@ -429,7 +402,6 @@ let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
             db.wal_applied_seq s.s_batches
         in
         ( storage.Storage.open_writer ~append:true path,
-          s.s_version,
           last + 1,
           s.s_valid_end )
     end
@@ -442,7 +414,6 @@ let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
       sync;
       group = group_commit;
       w;
-      version;
       next_seq;
       stack = [];
       g_entries = [];
@@ -524,15 +495,14 @@ let checkpoint_full_raw t ~snapshot =
   t.w.Storage.close ();
   let tmp = Printf.sprintf "%s.rotate.%d" t.path (Unix.getpid ()) in
   let w = t.storage.Storage.open_writer ~append:false tmp in
-  Storage.with_retries (fun () -> w.Storage.write (magic_v2 ^ "\n"));
+  Storage.with_retries (fun () -> w.Storage.write (magic ^ "\n"));
   w.Storage.fsync ();
   count_fsync t.wal_db;
   w.Storage.close ();
   t.storage.Storage.rename tmp t.path;
   t.storage.Storage.fsync_dir t.path;
   t.w <- t.storage.Storage.open_writer ~append:true t.path;
-  (* rotation upgrades a v1-era log; the sequence keeps counting *)
-  t.version <- V2;
+  (* the sequence keeps counting across the rotation *)
   t.wal_db.stats.wal_bytes <- header_bytes;
   (* the new base covers everything any old delta held *)
   remove_deltas t.storage snapshot
@@ -590,8 +560,8 @@ let compact_raw ?(retention = Keep_none) t ~snapshot =
   t.w.Storage.close ();
   let data = t.storage.Storage.read_file t.path in
   let kept =
-    match (t.version, scan data) with
-    | V2, `Ok s ->
+    match scan data with
+    | `Ok s ->
       let header_end =
         match String.index_opt data '\n' with Some i -> i + 1 | None -> 0
       in
@@ -619,12 +589,9 @@ let compact_raw ?(retention = Keep_none) t ~snapshot =
       in
       (* byte-exact copies keep the recorded CRCs valid *)
       List.map (fun (_, start, stop) -> String.sub data start (stop - start)) wanted
-    | _ ->
-      (* a v1-era log has no sequence numbers to retain against; the new
-         base covers it all, so the rewritten log starts empty *)
-      []
+    | `Torn_header -> [] (* nothing durable to retain *)
   in
-  let body = String.concat "" ((magic_v2 ^ "\n") :: kept) in
+  let body = String.concat "" ((magic ^ "\n") :: kept) in
   let tmp = Printf.sprintf "%s.compact.%d" t.path (Unix.getpid ()) in
   let w = t.storage.Storage.open_writer ~append:false tmp in
   Storage.with_retries (fun () -> w.Storage.write body);
@@ -634,7 +601,6 @@ let compact_raw ?(retention = Keep_none) t ~snapshot =
   t.storage.Storage.rename tmp t.path;
   t.storage.Storage.fsync_dir t.path;
   t.w <- t.storage.Storage.open_writer ~append:true t.path;
-  t.version <- V2;
   t.wal_db.stats.wal_bytes <- String.length body;
   (* the deltas are folded into the new base *)
   remove_deltas t.storage snapshot;
@@ -697,15 +663,15 @@ let replay ?(storage = Storage.unix) db path =
             List.iter
               (fun b ->
                 if !stopped then incr discarded
-                else if s.s_version = V2 && b.b_seq <= db.wal_applied_seq then
+                else if b.b_seq <= db.wal_applied_seq then
                   (* the loaded snapshot already contains this batch *)
                   ()
                 else
                   match List.map decode_mutation b.b_lines with
                   | exception Errors.Parse_error _ ->
-                    (* v1 logs have no checksum, so entry-level damage is
-                       only caught here; stop cleanly at the first bad
-                       batch instead of half-applying it *)
+                    (* a batch whose checksum holds can still carry an
+                       entry this version cannot decode; stop cleanly at
+                       the first such batch instead of half-applying it *)
                     stopped := true;
                     incr discarded
                   | ms ->
@@ -714,7 +680,7 @@ let replay ?(storage = Storage.unix) db path =
                        batch *)
                     List.iter (apply_mutation db) ms;
                     incr applied;
-                    if s.s_version = V2 then db.wal_applied_seq <- b.b_seq)
+                    db.wal_applied_seq <- b.b_seq)
               s.s_batches;
             if s.s_leftover then incr discarded;
             db.stats.wal_batches_replayed <-

@@ -14,8 +14,9 @@
     where [seq] is a monotonically increasing sequence number (strictly
     [+1] per batch, never reset — not even by {!checkpoint}), [count] the
     number of entry lines and [crc32] the checksum of the entry payload.
-    Logs written by the previous version (["SENTINELWAL 1"], bare [B]/[E]
-    framing) remain readable: {!attach} and {!replay} accept both.
+    This is the only format read or written: a log with any other magic
+    line, including the unchecksummed ["SENTINELWAL 1"] framing, is
+    refused by {!attach} and {!replay} with {!Errors.Parse_error}.
 
     {2 Durability contract}
 
@@ -108,7 +109,7 @@ val attach :
     not fsynced — faster, but a crash may lose recently committed work.
     [group_commit] (default off) enables the commit coordinator.
     @raise Errors.Parse_error when the file exists, is non-empty and does
-    not start with a known magic line.
+    not start with the ["SENTINELWAL 2"] magic line.
     @raise Errors.Transaction_error when a journal is already attached or a
     transaction is open.
     @raise Invalid_argument on a non-positive [max_batch] or negative
@@ -178,6 +179,8 @@ val replay : ?storage:Storage.t -> Db.t -> string -> int
     corruption never raises.  A missing file counts as an empty log.
     Recovery counters (batches replayed/discarded, checksum failures) land
     in {!Db.stats}.
+    @raise Errors.Parse_error when the file is non-empty and does not start
+    with the ["SENTINELWAL 2"] magic line.
     @raise Errors.No_such_class when the log references unregistered
     classes. *)
 

@@ -325,8 +325,8 @@ let test_feed_many_parity () =
 
 let n_dom = 4
 
-let mk_pool fired =
-  Shard_pool.create ~shards:n_dom
+let mk_pool ?inbox_capacity ?backpressure ?(shards = n_dom) fired =
+  Shard_pool.create ?inbox_capacity ?backpressure ~shards
     ~init:(fun _ i ->
       let db = employee_db () in
       let sys = System.create db in
@@ -389,68 +389,67 @@ let test_cross_shard_ingest_parity () =
   Shard_pool.stop pool_a;
   Shard_pool.stop pool_b
 
-(* The acceptance gate: at batch=64 over 4 shards, the flush path must cut
-   mailbox pushes by at least 8x against per-event posting.  Measured before
-   any drain so barrier messages stay out of the count. *)
-let test_mpsc_push_coalescing () =
+(* The acceptance gate: at batch=64 over 4 shards, [ingest] must cut mailbox
+   pushes by at least 8x against per-event posting — one push per non-empty
+   destination shard.  Measured before any drain so barrier messages stay
+   out of the count. *)
+let test_ingest_push_per_destination () =
   let fired = Array.init n_dom (fun _ -> ref 0) in
   let pool = mk_pool fired in
   let objs = pool_employees pool in
   let n = 64 in
   let pushes () = (Shard_pool.stats pool).Shard_pool.mpsc_pushes in
+  let ok = function
+    | Ok () -> ()
+    | Error e -> raise (Shard_pool.Shard_error e)
+  in
   Shard_pool.drain pool;
   (* per-event posting: one push per event *)
   let p0 = pushes () in
-  List.iter
-    (fun (o, m, args) ->
-      match Shard_pool.post pool o m args with
-      | Ok () -> ()
-      | Error e -> raise (Shard_pool.Shard_error e))
+  List.iter (fun (o, m, args) -> ok (Shard_pool.post pool o m args))
     (mk_events objs n);
   let individual = pushes () - p0 in
   Shard_pool.drain pool;
-  (* batched posting: one push per destination shard *)
-  let b = Shard_pool.batch pool in
+  (* ingest: one push per destination the batch touches *)
+  let events = mk_events objs n in
+  let destinations =
+    List.sort_uniq compare
+      (List.map (fun (o, _, _) -> Shard_pool.shard_of pool o) events)
+  in
   let p1 = pushes () in
-  List.iter
-    (fun (o, m, args) ->
-      match Shard_pool.batch_post b o m args with
-      | Ok () -> ()
-      | Error e -> raise (Shard_pool.Shard_error e))
-    (mk_events objs n);
-  (match Shard_pool.flush b with
-  | Ok () -> ()
-  | Error e -> raise (Shard_pool.Shard_error e));
+  ok (Shard_pool.ingest pool events);
   let coalesced = pushes () - p1 in
   Shard_pool.drain pool;
   Alcotest.(check int) "per-event posting pushes once per event" n individual;
-  Alcotest.(check int) "flush pushes once per destination" n_dom coalesced;
+  Alcotest.(check int) "the batch touches every shard" n_dom
+    (List.length destinations);
+  Alcotest.(check int) "ingest pushes once per destination" n_dom coalesced;
   Alcotest.(check bool)
     (Printf.sprintf "coalescing >= 8x (%d vs %d)" individual coalesced)
     true
     (individual >= 8 * coalesced);
-  (* and pool-level ingest is at least as frugal *)
-  let p2 = pushes () in
-  (match Shard_pool.ingest pool (mk_events objs n) with
-  | Ok () -> ()
-  | Error e -> raise (Shard_pool.Shard_error e));
-  let ingest_pushes = pushes () - p2 in
-  Shard_pool.drain pool;
-  Alcotest.(check bool) "ingest ships at most one message per shard" true
-    (ingest_pushes <= n_dom);
+  Alcotest.(check int) "every event fired" (2 * n)
+    (Array.fold_left (fun acc r -> acc + !r) 0 fired);
   Shard_pool.stop pool
 
-(* A rejected flush accounts every job it carried: Shed_newest on a full
-   inbox sheds the whole vector, job-granularly. *)
-let test_flush_backpressure_accounting () =
-  let ran = Atomic.make 0 in
+(* A sub-batch refused by backpressure is one shed job: under Shed_newest
+   on a full inbox the caller gets [Overloaded], [shed] rises by one, the
+   sub-batch never runs, and the other destination's sub-batch still
+   does. *)
+let test_shed_ingest_sub_batch () =
+  let fired = Array.init 2 (fun _ -> ref 0) in
+  let pool =
+    mk_pool ~shards:2 ~inbox_capacity:4 ~backpressure:Shed_newest fired
+  in
+  let on idx f =
+    match Shard_pool.run_on pool idx f with Ok v -> v | Error e -> raise e
+  in
+  let e0 = on 0 (fun sys -> new_employee (System.db sys)) in
+  let e1 = on 1 (fun sys -> new_employee (System.db sys)) in
+  let salary idx e = on idx (fun sys -> Db.get (System.db sys) e "salary") in
+  let salary0 = salary 0 e0 in
   let gate = Atomic.make false in
   let started = Atomic.make false in
-  let pool =
-    Shard_pool.create ~shards:2 ~inbox_capacity:4 ~backpressure:Shed_newest
-      ~init:(fun _ _ -> System.create (employee_db ()))
-      ()
-  in
   let post_on idx f =
     match Shard_pool.post_on pool idx f with
     | Ok () -> ()
@@ -468,26 +467,27 @@ let test_flush_backpressure_accounting () =
   for _ = 1 to 4 do
     post_on 0 (fun _ -> ())
   done;
-  let b = Shard_pool.batch pool in
-  for _ = 1 to 3 do
-    match
-      Shard_pool.batch_post_on b 0 (fun _ ->
-          ignore (Atomic.fetch_and_add ran 1))
-    with
-    | Ok () -> ()
-    | Error e -> raise (Shard_pool.Shard_error e)
-  done;
   let shed_before = (Shard_pool.stats pool).Shard_pool.shed in
-  (match Shard_pool.flush b with
+  let events =
+    [
+      (e0, "set_salary", [ Value.Float 7. ]);
+      (e1, "set_salary", [ Value.Float 7. ]);
+      (e0, "set_salary", [ Value.Float 8. ]);
+    ]
+  in
+  (match Shard_pool.ingest ~wait:true pool events with
   | Error (Shard_pool.Overloaded 0) -> ()
-  | Ok () -> Alcotest.fail "expected the flush to be shed"
+  | Ok () -> Alcotest.fail "expected shard 0's sub-batch to be shed"
   | Error e -> raise (Shard_pool.Shard_error e));
-  let st = Shard_pool.stats pool in
-  Alcotest.(check int) "whole vector counted as shed" (shed_before + 3)
-    st.Shard_pool.shed;
+  Alcotest.(check int) "the sub-batch counts as one shed job"
+    (shed_before + 1)
+    (Shard_pool.stats pool).Shard_pool.shed;
   Atomic.set gate true;
   Shard_pool.drain pool;
-  Alcotest.(check int) "shed jobs never ran" 0 (Atomic.get ran);
+  Alcotest.(check int) "shed sub-batch never ran" 0 !(fired.(0));
+  Alcotest.check value "shard 0 state untouched" salary0 (salary 0 e0);
+  Alcotest.(check int) "shard 1's sub-batch ran" 1 !(fired.(1));
+  Alcotest.check value "shard 1 state applied" (Value.Float 7.) (salary 1 e1);
   Shard_pool.stop pool
 
 let suite =
@@ -503,6 +503,6 @@ let suite =
     test "route coalescing counters" test_coalescing_counters;
     test "feed_many matches per-event feed" test_feed_many_parity;
     test "cross-shard ingest parity" test_cross_shard_ingest_parity;
-    test "cross-shard flush coalesces mailbox pushes" test_mpsc_push_coalescing;
-    test "shed flush accounts every job" test_flush_backpressure_accounting;
+    test "ingest pushes once per destination" test_ingest_push_per_destination;
+    test "shed ingest sub-batch never runs" test_shed_ingest_sub_batch;
   ]

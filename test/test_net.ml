@@ -328,6 +328,39 @@ let test_subscribe_notify () =
           Alcotest.(check int) "subscription gauge back to zero" 0
             s.Server.subscriptions_active))
 
+(* A Send_many whose sub-batch rolls back — here an event for an OID no
+   shard holds — is answered with an [Err], never an [Ack], at every shard
+   count, and is not counted as ingested.  A valid batch on the same
+   connection is still acked afterwards. *)
+let test_rolled_back_batch_not_acked () =
+  List.iter
+    (fun shards ->
+      with_server ~shards (fun server pool _ _ ->
+          let ingested () = (Server.stats server).Server.events_ingested in
+          with_client server (fun client ->
+              Client.send client
+                (Oid.of_int 999_999, "set_salary", [ Value.Float 1. ]);
+              (match Client.flush client with
+              | n ->
+                Alcotest.failf "shards=%d: rolled-back batch acked (%d)"
+                  shards n
+              | exception Client.Server_error { code; _ } ->
+                Alcotest.(check int)
+                  (Printf.sprintf "shards=%d: err_degraded" shards)
+                  Frame.err_degraded code);
+              Alcotest.(check int)
+                (Printf.sprintf "shards=%d: nothing counted as ingested" shards)
+                0 (ingested ());
+              let oid = List.hd (employee_oids pool) in
+              Client.send client (oid, "set_salary", [ Value.Float 2. ]);
+              Alcotest.(check int)
+                (Printf.sprintf "shards=%d: a valid batch is acked" shards)
+                1 (Client.flush client);
+              Alcotest.(check int)
+                (Printf.sprintf "shards=%d: and counted" shards)
+                1 (ingested ()))))
+    [ 1; 2 ]
+
 (* --- query ----------------------------------------------------------------- *)
 
 let test_query_streams_rows () =
@@ -481,6 +514,7 @@ let suite =
     test "version mismatch gets a typed reply" test_version_mismatch;
     test "in-payload version mismatch rejected" test_client_version_exception;
     test "wire ingest = in-process ingest" test_wire_differential;
+    test "rolled-back batch gets Err, not Ack" test_rolled_back_batch_not_acked;
     test "subscribe streams notifications" test_subscribe_notify;
     test "query streams rows" test_query_streams_rows;
     test "slow consumer shed accounting is exact"

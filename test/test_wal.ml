@@ -190,35 +190,28 @@ let test_missing_log_is_empty () =
     (Wal.replay db "/nonexistent/definitely_missing.wal")
 
 let test_attach_validates_magic () =
-  with_tmp (fun bad ->
-      with_tmp (fun good ->
-          Out_channel.with_open_bin bad (fun oc ->
-              Out_channel.output_string oc "NOT A WAL FILE\njunk\n");
-          let db = fresh_db () in
-          (match Wal.attach db bad with
-          | exception Errors.Parse_error _ -> ()
-          | _ -> Alcotest.fail "expected Parse_error on foreign magic");
-          (* the failed attach must not leave a journal installed *)
-          let wal = Wal.attach db good in
-          Wal.detach wal))
-
-let test_v1_log_compatible () =
-  with_tmp (fun path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            "SENTINELWAL 1\nB\nc 1 employee name=s:a salary=f:0x1p0\nE\nB\ns 1 salary f:0x1p3\nE\n");
-      let db2, applied = recover path in
-      Alcotest.(check int) "both v1 batches" 2 applied;
-      Alcotest.check value "v1 state" (Value.Float 8.)
-        (Db.get db2 (Oid.of_int 1) "salary");
-      (* appending to a v1 log keeps it replayable end to end *)
-      let wal = Wal.attach db2 path in
-      Db.set db2 (Oid.of_int 1) "salary" (Value.Float 9.);
-      Wal.detach wal;
-      let db3, applied3 = recover path in
-      Alcotest.(check int) "appended batch replays" 3 applied3;
-      Alcotest.check value "appended state" (Value.Float 9.)
-        (Db.get db3 (Oid.of_int 1) "salary"))
+  (* a foreign file and a log in the retired unchecksummed v1 framing are
+     both refused loudly, by attach and by replay alike *)
+  List.iter
+    (fun contents ->
+      with_tmp (fun bad ->
+          with_tmp (fun good ->
+              Out_channel.with_open_bin bad (fun oc ->
+                  Out_channel.output_string oc contents);
+              let db = fresh_db () in
+              (match Wal.attach db bad with
+              | exception Errors.Parse_error _ -> ()
+              | _ -> Alcotest.fail "expected Parse_error on foreign magic");
+              (match Wal.replay (fresh_db ()) bad with
+              | exception Errors.Parse_error _ -> ()
+              | _ -> Alcotest.fail "expected Parse_error on replay");
+              (* the failed attach must not leave a journal installed *)
+              let wal = Wal.attach db good in
+              Wal.detach wal)))
+    [
+      "NOT A WAL FILE\njunk\n";
+      "SENTINELWAL 1\nB\nc 1 employee name=s:a salary=f:0x1p0\nE\n";
+    ]
 
 let test_bitflip_tail_discarded () =
   with_tmp (fun path ->
@@ -724,7 +717,6 @@ let suite =
     test "attach misuse" test_attach_misuse;
     test "missing log is empty" test_missing_log_is_empty;
     test "attach validates magic" test_attach_validates_magic;
-    test "v1 logs stay readable" test_v1_log_compatible;
     test "bit-flipped tail discarded" test_bitflip_tail_discarded;
     test "counters move only after durable writes"
       test_counters_only_after_durable_write;
