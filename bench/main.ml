@@ -1266,19 +1266,19 @@ let e_containment () =
   row "  wrote BENCH_containment.json\n"
 
 (* ------------------------------------------------------------------------- *)
-(* E-oltp: compiled slot layout vs per-object hashtable on get/set/send       *)
+(* E-oltp: get/set/send on slot-array objects, and the shards axis            *)
 (* ------------------------------------------------------------------------- *)
 
 (* Wide passive classes (10/100/1000 attributes), 1k instances, hot
    attribute in the middle of the layout.  Accessors go through the
    pre-resolved slot API — the path rule conditions, the DSL and the rule
-   scheduler actually use — which degrades to the per-object hashtable in
-   `Hashtbl mode, so the two rows compare the representations under the
-   same call shape.  String-keyed access is reported alongside.  Under
-   BENCH_SMOKE the run doubles as a CI regression gate: slot-mode get/set
-   throughput below hashtbl-mode at 100 attributes fails the process. *)
+   scheduler actually use; string-keyed access is reported alongside.
+   Under BENCH_SMOKE the run doubles as a CI regression gate: a query that
+   fetches an object more than once per candidate, or a shards row off its
+   bound, fails the process.  The cross-run floor on the get/set/send rows
+   lives in CI (scripts/bench_compare.sh --fail-below). *)
 let e_oltp () =
-  header "E-oltp: slot layout vs hashtbl objects (get/set/send micro-bench)";
+  header "E-oltp: slot-array objects (get/set/send micro-bench)";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let rw_iters = if smoke then 100_000 else 1_000_000 in
   let send_iters = if smoke then 20_000 else 200_000 in
@@ -1290,9 +1290,8 @@ let e_oltp () =
     let (), ms = time_ms (fun () -> for _ = 1 to iters do f () done) in
     ((float_of_int iters /. ms) *. 1000., (Gc.allocated_bytes () -. bytes0) /. float_of_int iters)
   in
-  let layout_name = function `Slots -> "slots" | `Hashtbl -> "hashtbl" in
-  let run layout size =
-    let db = Db.create ~layout () in
+  let run size =
+    let db = Db.create () in
     let hot = Printf.sprintf "a%d" (size / 2) in
     Db.define_class db
       (Schema.define "wide"
@@ -1329,24 +1328,16 @@ let e_oltp () =
     let send_ops, send_bytes =
       measure send_iters (fun () -> ignore (Db.send db (next ()) "poke" args))
     in
-    row "  %7s %5d  get %11.0f/s (%3.0fB)  set %11.0f/s (%3.0fB)  send %10.0f/s (%3.0fB)\n"
-      (layout_name layout) size get_ops get_bytes set_ops set_bytes send_ops
-      send_bytes;
-    ( layout_name layout, size, get_ops, get_bytes, set_ops, set_bytes,
-      send_ops, send_bytes, get_str_ops, set_str_ops, create_ops, create_bytes )
+    row "  %5d  get %11.0f/s (%3.0fB)  set %11.0f/s (%3.0fB)  send %10.0f/s (%3.0fB)\n"
+      size get_ops get_bytes set_ops set_bytes send_ops send_bytes;
+    ( size, get_ops, get_bytes, set_ops, set_bytes, send_ops, send_bytes,
+      get_str_ops, set_str_ops, create_ops, create_bytes )
   in
-  row "  %7s %5s\n" "layout" "attrs";
-  let rows =
-    List.concat_map
-      (fun size ->
-        let h = run `Hashtbl size in
-        let s = run `Slots size in
-        [ h; s ])
-      sizes
-  in
-  (* Query.matches contract: one object fetch per candidate, checked here so
-     the bench fails loudly if select regresses to per-attribute fetches. *)
-  let query_probes_ok =
+  row "  %5s\n" "attrs";
+  let rows = List.map run sizes in
+  (* Query.matches contract: one object fetch per candidate; a smoke run
+     exits non-zero if select regresses to per-attribute fetches. *)
+  let query_probes =
     let db = Db.create () in
     Workloads.Payroll.install db;
     let rng = Prng.create 7 in
@@ -1357,48 +1348,11 @@ let e_oltp () =
          (Oodb.Query.And
             ( Oodb.Query.Ge ("salary", Value.Float 0.),
               Oodb.Query.Has "name" )));
-    let ok = Oodb.Query.probes () = 100 in
-    row "  query probes: %d object fetches for 100 candidates %s\n"
-      (Oodb.Query.probes ())
-      (if ok then "(ok)" else "(REGRESSION: expected 100)");
-    ok
+    let n = Oodb.Query.probes () in
+    row "  query probes: %d object fetches for 100 candidates %s\n" n
+      (if n = 100 then "(ok)" else "(REGRESSION: expected 100)");
+    n
   in
-  (* The E-routing heavy row (1000 rules) re-run on the slot layout, both
-     routing modes, so the discrimination-index numbers are refreshed
-     against interned occurrence keys. *)
-  let routing_updates = if smoke then 1_000 else 10_000 in
-  let routed routing =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let sys = System.create ~routing db in
-    System.register_action sys "noop" (fun _ _ -> ());
-    ignore
-      (System.create_rule sys ~name:"match" ~monitor_classes:[ "employee" ]
-         ~event:(Expr.eom ~cls:"employee" "set_salary")
-         ~condition:"true" ~action:"noop" ());
-    for i = 2 to 1000 do
-      ignore
-        (System.create_rule sys
-           ~name:(Printf.sprintf "miss-%d" i)
-           ~monitor_classes:[ "employee" ]
-           ~event:(Expr.eom ~cls:"employee" "change_income")
-           ~condition:"true" ~action:"noop" ())
-    done;
-    let rng = Prng.create 42 in
-    let pop = Workloads.Payroll.populate db rng ~managers:10 ~employees:90 in
-    let objs = Array.append pop.managers pop.employees in
-    let (), ms =
-      time_ms (fun () ->
-          for _ = 1 to routing_updates do
-            ignore (Db.send db (Prng.choice rng objs) "set_salary" [ Value.Float 1. ])
-          done)
-    in
-    float_of_int routing_updates /. (ms /. 1000.)
-  in
-  let b_eps = routed System.Broadcast in
-  let i_eps = routed System.Indexed in
-  row "  1000-rule routing: broadcast %.0f ev/s, indexed %.0f ev/s (%.1fx)\n"
-    b_eps i_eps (i_eps /. b_eps);
   (* Domain-parallel send throughput: one reactive rule per shard, sends
      routed by OID hash through a Shard_pool at shards={1,2,4}.  A 1-shard
      pool executes directly on the caller (no domain, no queue), so its row
@@ -1407,7 +1361,8 @@ let e_oltp () =
      only applies when the machine has cores to scale onto. *)
   let shard_send_iters = if smoke then 40_000 else 200_000 in
   let cores = Domain.recommended_domain_count () in
-  let shard_init _pool _i =
+  (* one engine: the payroll schema and a single noop rule on set_salary *)
+  let payroll_watch () =
     let db = Db.create () in
     Workloads.Payroll.install db;
     let sys = System.create db in
@@ -1418,6 +1373,7 @@ let e_oltp () =
          ~condition:"true" ~action:"noop" ());
     sys
   in
+  let shard_init _pool _i = payroll_watch () in
   let shard_eps ?(supervised = false) n_shards =
     let supervision =
       if supervised then Some Sentinel.Shard_pool.default_supervision
@@ -1454,14 +1410,7 @@ let e_oltp () =
     float_of_int shard_send_iters /. (ms /. 1000.)
   in
   let direct_eps =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let sys = System.create db in
-    System.register_action sys "noop" (fun _ _ -> ());
-    ignore
-      (System.create_rule sys ~name:"watch" ~monitor_classes:[ "employee" ]
-         ~event:(Expr.eom ~cls:"employee" "set_salary")
-         ~condition:"true" ~action:"noop" ());
+    let db = System.db (payroll_watch ()) in
     let objs = Array.init 256 (fun _ -> Db.new_object db "employee") in
     let args = [ Value.Float 1. ] in
     let (), ms =
@@ -1494,14 +1443,12 @@ let e_oltp () =
      %d,\n  \"objects\": %d,\n  \"workload\": \"wide passive class, hot \
      middle attribute via pre-resolved slot handles; bytes are heap bytes \
      allocated per op\",\n  \"query_probe_per_candidate\": %b,\n  \
-     \"routing_1000_rules\": {\"broadcast_events_per_sec\": %.0f, \
-     \"indexed_events_per_sec\": %.0f, \"speedup\": %.2f},\n  \
      \"cores\": %d,\n  \"shards\": {\"send_iters\": %d, \
      \"direct_send_events_per_sec\": %.0f, \"rows\": [%s], \
      \"supervised\": {\"shards\": 2, \"send_events_per_sec\": %.0f, \
      \"ratio_vs_unsupervised\": %.3f}},\n  \"rows\": [\n"
-    rw_iters send_iters n_objects query_probes_ok b_eps i_eps (i_eps /. b_eps)
-    cores shard_send_iters direct_eps
+    rw_iters send_iters n_objects (query_probes = 100) cores shard_send_iters
+    direct_eps
     (String.concat ", "
        (List.map
           (fun (n, eps) ->
@@ -1513,38 +1460,27 @@ let e_oltp () =
     supervised2
     (supervised2 /. List.assoc 2 shard_rows);
   List.iteri
-    (fun i (lname, size, g, gb, s, sb, snd_, sndb, gs, ss, c, cb) ->
+    (fun i (size, g, gb, s, sb, snd_, sndb, gs, ss, c, cb) ->
       Printf.fprintf oc
-        "    {\"layout\": \"%s\", \"attrs\": %d, \"get_ops_per_sec\": %.0f, \
+        "    {\"attrs\": %d, \"get_ops_per_sec\": %.0f, \
          \"get_bytes_per_op\": %.1f, \"set_ops_per_sec\": %.0f, \
          \"set_bytes_per_op\": %.1f, \"send_ops_per_sec\": %.0f, \
          \"send_bytes_per_op\": %.1f, \"get_string_ops_per_sec\": %.0f, \
          \"set_string_ops_per_sec\": %.0f, \"create_ops_per_sec\": %.0f, \
          \"create_bytes_per_obj\": %.0f}%s\n"
-        lname size g gb s sb snd_ sndb gs ss c cb
+        size g gb s sb snd_ sndb gs ss c cb
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   row "  wrote BENCH_oltp.json\n";
-  (* CI regression gate (smoke runs only): the compiled layout must not be
-     slower than the representation it replaced. *)
+  (* CI regression gates (smoke runs only) *)
   if smoke then begin
-    let find lname size =
-      List.find_map
-        (fun (l, n, g, _, s, _, _, _, _, _, _, _) ->
-          if l = lname && n = size then Some (g, s) else None)
-        rows
-      |> Option.get
-    in
-    let sg, ss = find "slots" 100 and hg, hs = find "hashtbl" 100 in
-    if sg < hg || ss < hs then begin
-      row "  FAIL: slot-mode throughput below hashtbl-mode at 100 attrs \
-           (get %.0f vs %.0f, set %.0f vs %.0f)\n"
-        sg hg ss hs;
+    if query_probes <> 100 then begin
+      row "  FAIL: payroll select fetched %d objects for 100 candidates\n"
+        query_probes;
       exit 1
-    end
-    else row "  bench-smoke gate: slots >= hashtbl at 100 attrs (ok)\n";
+    end;
     (* shards axis gates: the 1-shard pool must not tax the single-threaded
        path, and adding a shard must actually scale where cores exist. *)
     if shards1 < 0.95 *. direct_eps then begin

@@ -3,7 +3,7 @@ open Types
 type t = db
 type slot = Types.slot
 
-let create ?(layout = `Slots) () =
+let create () =
   {
     next_oid = 1;
     oid_stride = 1;
@@ -14,7 +14,6 @@ let create ?(layout = `Slots) () =
     dirty = Oid.Table.create 256;
     dirty_dead = Oid.Table.create 64;
     ckpt_gen = 1;
-    slots_mode = (layout = `Slots);
     objects = Oid.Table.create 1024;
     classes = Hashtbl.create 64;
     extents = Hashtbl.create 64;
@@ -47,8 +46,6 @@ let create ?(layout = `Slots) () =
         delta_checkpoints = 0;
       };
   }
-
-let layout_mode db = if db.slots_mode then `Slots else `Hashtbl
 
 let now db = db.now
 
@@ -190,7 +187,7 @@ let has_class db name = Hashtbl.mem db.classes name
 
 let new_object db ?(attrs = []) cls =
   let info = info db cls in
-  let o = Heap.make_obj db ~id:(Oid.of_int 0) ~cls ~info ~seed:`Defaults ~consumers:[] in
+  let o = Heap.make_obj ~id:(Oid.of_int 0) ~cls ~info ~seed:`Defaults ~consumers:[] in
   let put (name, v) =
     (* the declared attribute set is exactly what `Defaults seeded *)
     match Heap.obj_get o name with
@@ -241,17 +238,9 @@ let is_instance_of db oid cls =
 
 let get db oid name =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots -> (
-    match Hashtbl.find_opt o.info.ri_layout.ly_by_name name with
-    | Some i ->
-      let v = Array.unsafe_get slots i in
-      if v == absent then raise (Errors.No_such_attribute (o.cls, name)) else v
-    | None -> raise (Errors.No_such_attribute (o.cls, name)))
-  | S_table tbl -> (
-    match Hashtbl.find_opt tbl name with
-    | Some v -> v
-    | None -> raise (Errors.No_such_attribute (o.cls, name)))
+  let i = Heap.slot_by_name o name in
+  let v = if i < 0 then absent else Array.unsafe_get o.slots i in
+  if v == absent then raise (Errors.No_such_attribute (o.cls, name)) else v
 
 let get_opt db oid name = Heap.obj_get (Heap.find_obj db oid) name
 
@@ -261,16 +250,10 @@ let log_set db oid name old v =
 
 let set db oid name v =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots -> (
-    match Hashtbl.find_opt o.info.ri_layout.ly_by_name name with
-    | Some i when Array.unsafe_get slots i != absent ->
-      log_set db oid name (Heap.raw_set_slot db o i (Some v)) v
-    | _ -> raise (Errors.No_such_attribute (o.cls, name)))
-  | S_table tbl ->
-    if not (Hashtbl.mem tbl name) then
-      raise (Errors.No_such_attribute (o.cls, name));
-    log_set db oid name (Heap.raw_set_attr db o name (Some v)) v
+  let i = Heap.slot_by_name o name in
+  if i < 0 || Array.unsafe_get o.slots i == absent then
+    raise (Errors.No_such_attribute (o.cls, name));
+  log_set db oid name (Heap.raw_set_slot db o i (Some v)) v
 
 let attrs db oid = Heap.sorted_attrs (Heap.find_obj db oid)
 
@@ -303,28 +286,28 @@ let resolve db cls name =
 
 (* Validate a handle against the object's current layout: one array read and
    an int compare on the hot path; a miss (layout evolved, or the handle was
-   resolved against an unrelated class) re-resolves by name. *)
-let slot_index (o : obj) (s : slot) =
-  let syms = o.info.ri_layout.ly_syms in
+   resolved against an unrelated class) re-resolves by name.  -1 when the
+   layout has no slot of that name. *)
+let find_slot (o : obj) (s : slot) =
+  let ly = o.info.ri_layout in
+  let syms = ly.ly_syms in
   let i = s.sl_index in
   if i < Array.length syms && Symbol.equal (Array.unsafe_get syms i) s.sl_sym
   then i
   else
-    match Hashtbl.find_opt o.info.ri_layout.ly_by_name s.sl_name with
+    match Hashtbl.find_opt ly.ly_by_name s.sl_name with
     | Some j -> j
-    | None -> raise (Errors.No_such_attribute (o.cls, s.sl_name))
+    | None -> -1
+
+let slot_index (o : obj) (s : slot) =
+  let i = find_slot o s in
+  if i < 0 then raise (Errors.No_such_attribute (o.cls, s.sl_name)) else i
 
 let slot_get_raw db oid (s : slot) =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots ->
-    let v = Array.unsafe_get slots (slot_index o s) in
-    if v == absent then raise (Errors.No_such_attribute (o.cls, s.sl_name))
-    else v
-  | S_table tbl -> (
-    match Hashtbl.find_opt tbl s.sl_name with
-    | Some v -> v
-    | None -> raise (Errors.No_such_attribute (o.cls, s.sl_name)))
+  let v = Array.unsafe_get o.slots (slot_index o s) in
+  if v == absent then raise (Errors.No_such_attribute (o.cls, s.sl_name))
+  else v
 
 let slot_get db oid (s : slot) =
   if not !Obs.armed then slot_get_raw db oid s
@@ -341,28 +324,18 @@ let slot_get db oid (s : slot) =
 
 let slot_get_opt db oid (s : slot) =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots -> (
-    match Hashtbl.find_opt o.info.ri_layout.ly_by_name s.sl_name with
-    | exception _ -> None
-    | None -> None
-    | Some _ ->
-      let v = Array.unsafe_get slots (slot_index o s) in
-      if v == absent then None else Some v)
-  | S_table tbl -> Hashtbl.find_opt tbl s.sl_name
+  let i = find_slot o s in
+  if i < 0 then None
+  else
+    let v = Array.unsafe_get o.slots i in
+    if v == absent then None else Some v
 
 let slot_set_raw db oid (s : slot) v =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots ->
-    let i = slot_index o s in
-    if Array.unsafe_get slots i == absent then
-      raise (Errors.No_such_attribute (o.cls, s.sl_name));
-    log_set db oid s.sl_name (Heap.raw_set_slot db o i (Some v)) v
-  | S_table tbl ->
-    if not (Hashtbl.mem tbl s.sl_name) then
-      raise (Errors.No_such_attribute (o.cls, s.sl_name));
-    log_set db oid s.sl_name (Heap.raw_set_attr db o s.sl_name (Some v)) v
+  let i = slot_index o s in
+  if Array.unsafe_get o.slots i == absent then
+    raise (Errors.No_such_attribute (o.cls, s.sl_name));
+  log_set db oid s.sl_name (Heap.raw_set_slot db o i (Some v)) v
 
 let slot_set db oid (s : slot) v =
   if not !Obs.armed then slot_set_raw db oid s v

@@ -2,11 +2,9 @@
    and Transaction (undo replay).  Nothing here logs undo records or raises
    events; callers are responsible for that.
 
-   Objects carry one of two attribute stores (Types.attr_store): the
-   compiled S_slots array addressed through the class layout, or the legacy
-   S_table hashtable kept as the measured baseline.  Everything below is
-   polymorphic over the store so the rest of the system never matches on the
-   representation. *)
+   An object's attributes live in its slot array ([obj.slots]), addressed
+   through its class layout; a slot holding [Types.absent] has no binding.
+   The name-based accessors below resolve the name to a slot first. *)
 
 open Types
 
@@ -46,7 +44,7 @@ let covering_indexes db cls attr =
     (fun c -> Hashtbl.find_opt db.indexes (c, attr))
     (Schema.ancestry db cls)
 
-(* Slot-mode covering lookup: cached per layout slot, refreshed when the
+(* Per-slot covering lookup: cached per layout slot, refreshed when the
    database's index generation moved. *)
 let covering_of_slot db (ly : layout) i =
   if ly.ly_ix_stamp <> db.index_gen then begin
@@ -92,21 +90,15 @@ let slot_by_name (o : obj) name =
   | None -> -1
 
 let obj_get (o : obj) name =
-  match o.store with
-  | S_table tbl -> Hashtbl.find_opt tbl name
-  | S_slots slots -> (
-    match Hashtbl.find_opt (layout_of o).ly_by_name name with
-    | None -> None
-    | Some i ->
-      let v = Array.unsafe_get slots i in
-      if v == absent then None else Some v)
+  match Hashtbl.find_opt (layout_of o).ly_by_name name with
+  | None -> None
+  | Some i ->
+    let v = Array.unsafe_get o.slots i in
+    if v == absent then None else Some v
 
 let iter_attrs f (o : obj) =
-  match o.store with
-  | S_table tbl -> Hashtbl.iter f tbl
-  | S_slots slots ->
-    let ly = layout_of o in
-    Array.iteri (fun i v -> if v != absent then f ly.ly_names.(i) v) slots
+  let names = (layout_of o).ly_names in
+  Array.iteri (fun i v -> if v != absent then f names.(i) v) o.slots
 
 let sorted_attrs (o : obj) =
   let acc = ref [] in
@@ -114,61 +106,38 @@ let sorted_attrs (o : obj) =
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 (* Write without index maintenance or undo logging: object construction and
-   schema-evolution plumbing.  @raise No_such_attribute in slot mode when
-   the layout has no slot for [name]. *)
+   schema-evolution plumbing.  @raise No_such_attribute when the layout has
+   no slot for [name]. *)
 let store_put_raw (o : obj) name v =
-  match o.store with
-  | S_table tbl -> Hashtbl.replace tbl name v
-  | S_slots slots ->
-    let i = slot_by_name o name in
-    if i < 0 then raise (Errors.No_such_attribute (o.cls, name))
-    else slots.(i) <- v
+  let i = slot_by_name o name in
+  if i < 0 then raise (Errors.No_such_attribute (o.cls, name))
+  else o.slots.(i) <- v
 
 (* Lenient variant for snapshot loading: an attribute the current layout
-   does not declare is dropped (the hashtable store keeps it, preserving the
-   legacy behaviour of carrying undeclared snapshot attributes). *)
+   does not declare is dropped. *)
 let store_put_loose (o : obj) name v =
-  match o.store with
-  | S_table tbl -> Hashtbl.replace tbl name v
-  | S_slots slots ->
-    let i = slot_by_name o name in
-    if i >= 0 then slots.(i) <- v
+  let i = slot_by_name o name in
+  if i >= 0 then o.slots.(i) <- v
 
 let store_remove_raw (o : obj) name =
-  match o.store with
-  | S_table tbl -> Hashtbl.remove tbl name
-  | S_slots slots ->
-    let i = slot_by_name o name in
-    if i >= 0 then slots.(i) <- absent
+  let i = slot_by_name o name in
+  if i >= 0 then o.slots.(i) <- absent
 
 (* --- construction -------------------------------------------------------- *)
 
-(* A fresh store for an instance of [info]'s class: [`Defaults] seeds every
-   declared attribute with its default (object creation), [`Empty] starts
-   all-absent (snapshot loading, which replays the saved attributes on
-   top). *)
-let fresh_store db (info : class_info) seed =
+(* A fresh object of [info]'s class: [`Defaults] seeds every declared
+   attribute with its default (object creation), [`Empty] starts all-absent
+   (snapshot loading, which replays the saved attributes on top). *)
+let make_obj ~id ~cls ~info ~seed ~consumers =
   let ly = info.ri_layout in
-  if db.slots_mode then
-    S_slots
-      (match seed with
-      | `Defaults -> Array.copy ly.ly_defaults
-      | `Empty -> Array.make (Array.length ly.ly_defaults) absent)
-  else begin
-    let tbl = Hashtbl.create (max 4 (Array.length ly.ly_names)) in
-    (match seed with
-    | `Defaults ->
-      Array.iteri (fun i n -> Hashtbl.replace tbl n ly.ly_defaults.(i)) ly.ly_names
-    | `Empty -> ());
-    S_table tbl
-  end
-
-let make_obj db ~id ~cls ~info ~seed ~consumers =
   {
     id;
     cls;
     info;
-    store = fresh_store db info seed;
+    slots =
+      (match seed with
+      | `Defaults -> Array.copy ly.ly_defaults
+      | `Empty -> Array.make (Array.length ly.ly_defaults) absent);
     consumers;
     alive = true;
     dirty_gen = 0;
@@ -191,49 +160,32 @@ let clear_dirty db =
   db.ckpt_gen <- db.ckpt_gen + 1
 
 (* Set or remove ([v = None]) the attribute at slot [i], keeping covering
-   indexes in sync.  Returns the previous binding.  Slot stores only. *)
+   indexes in sync.  Returns the previous binding. *)
 let raw_set_slot db (o : obj) i v =
-  match o.store with
-  | S_table _ -> invalid_arg "Heap.raw_set_slot: hashtable store"
-  | S_slots slots ->
-    mark_dirty db o;
-    let cur = Array.unsafe_get slots i in
-    let old = if cur == absent then None else Some cur in
-    let ixs = covering_of_slot db (layout_of o) i in
-    (match (ixs, old) with
-    | [], _ | _, None -> ()
-    | ixs, Some ov -> List.iter (fun ix -> index_remove ix ov o.id) ixs);
-    (match v with
-    | Some nv ->
-      Array.unsafe_set slots i nv;
-      if ixs <> [] then List.iter (fun ix -> index_add ix nv o.id) ixs
-    | None -> Array.unsafe_set slots i absent);
-    old
+  mark_dirty db o;
+  let slots = o.slots in
+  let cur = Array.unsafe_get slots i in
+  let old = if cur == absent then None else Some cur in
+  let ixs = covering_of_slot db (layout_of o) i in
+  (match (ixs, old) with
+  | [], _ | _, None -> ()
+  | ixs, Some ov -> List.iter (fun ix -> index_remove ix ov o.id) ixs);
+  (match v with
+  | Some nv ->
+    Array.unsafe_set slots i nv;
+    if ixs <> [] then List.iter (fun ix -> index_add ix nv o.id) ixs
+  | None -> Array.unsafe_set slots i absent);
+  old
 
-(* Set or remove ([v = None]) an attribute by name, keeping covering indexes
-   in sync.  Returns the previous binding. *)
+(* Set or remove ([v = None]) an attribute by name: resolve the slot, then
+   [raw_set_slot].  Returns the previous binding. *)
 let raw_set_attr db (o : obj) name v =
-  match o.store with
-  | S_slots _ -> (
-    let i = slot_by_name o name in
-    if i >= 0 then raw_set_slot db o i v
-    else
-      match v with
-      | None -> None (* removing an attribute the layout never had *)
-      | Some _ -> raise (Errors.No_such_attribute (o.cls, name)))
-  | S_table tbl ->
-    mark_dirty db o;
-    let old = Hashtbl.find_opt tbl name in
-    let ixs = covering_indexes db o.cls name in
-    List.iter
-      (fun ix -> match old with Some ov -> index_remove ix ov o.id | None -> ())
-      ixs;
-    (match v with
-    | Some nv ->
-      Hashtbl.replace tbl name nv;
-      List.iter (fun ix -> index_add ix nv o.id) ixs
-    | None -> Hashtbl.remove tbl name);
-    old
+  let i = slot_by_name o name in
+  if i >= 0 then raw_set_slot db o i v
+  else
+    match v with
+    | None -> None (* removing an attribute the layout never had *)
+    | Some _ -> raise (Errors.No_such_attribute (o.cls, name))
 
 let index_all_attrs db o =
   iter_attrs
@@ -273,18 +225,15 @@ let remove_obj db o =
    indexes them explicitly), and values whose slot disappeared are dropped
    (Evolution unindexed them before the spec change). *)
 let migrate_obj (o : obj) (ninfo : class_info) =
-  (match o.store with
-  | S_table _ -> ()
-  | S_slots slots ->
-    let oly = o.info.ri_layout and nly = ninfo.ri_layout in
-    if oly != nly && oly.ly_syms <> nly.ly_syms then begin
-      let fresh = Array.make (Array.length nly.ly_syms) absent in
-      Array.iteri
-        (fun i s ->
-          match Hashtbl.find_opt oly.ly_by_sym s with
-          | Some j -> fresh.(i) <- slots.(j)
-          | None -> ())
-        nly.ly_syms;
-      o.store <- S_slots fresh
-    end);
+  let oly = o.info.ri_layout and nly = ninfo.ri_layout in
+  if oly != nly && oly.ly_syms <> nly.ly_syms then begin
+    let fresh = Array.make (Array.length nly.ly_syms) absent in
+    Array.iteri
+      (fun i s ->
+        match Hashtbl.find_opt oly.ly_by_sym s with
+        | Some j -> fresh.(i) <- o.slots.(j)
+        | None -> ())
+      nly.ly_syms;
+    o.slots <- fresh
+  end;
   o.info <- ninfo

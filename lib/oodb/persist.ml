@@ -268,7 +268,7 @@ let read db read_line =
     let info = Heap.class_info db cls in
     (* `Empty seed: an attribute the snapshot does not carry (it predates an
        add_attribute) loads as absent, not as the current default *)
-    let o = Heap.make_obj db ~id:oid ~cls ~info ~seed:`Empty ~consumers:[] in
+    let o = Heap.make_obj ~id:oid ~cls ~info ~seed:`Empty ~consumers:[] in
     let rec body () =
       match next_line () with
       | None -> fail "unterminated object"
@@ -277,7 +277,7 @@ let read db read_line =
         | [ "end" ] -> ()
         | "a" :: name :: [ enc ] ->
           (* loose: snapshot attributes the current schema no longer
-             declares are dropped in slot mode, carried in table mode *)
+             declares are dropped *)
           Heap.store_put_loose o name (decode_value enc);
           body ()
         | "c" :: oids ->
@@ -454,7 +454,7 @@ let apply_delta ?(storage = Storage.unix) db path =
         let apply_obj oid cls =
           if not (Db.has_class db cls) then raise (Errors.No_such_class cls);
           let info = Heap.class_info db cls in
-          let o = Heap.make_obj db ~id:oid ~cls ~info ~seed:`Empty ~consumers:[] in
+          let o = Heap.make_obj ~id:oid ~cls ~info ~seed:`Empty ~consumers:[] in
           let rec body () =
             match next_line () with
             | None -> fail "unterminated object"

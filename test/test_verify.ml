@@ -63,13 +63,17 @@ let test_detects_corruption () =
       (List.exists (contains_substring ~sub:"not indexed") ps)
   | Ok () -> Alcotest.fail "corruption not detected");
   ignore e;
-  (* corrupt an attribute table (hashtbl layout): undeclared attribute *)
-  let db2 = employee_db ~layout:`Hashtbl () in
+  (* smuggle an undeclared attribute in: point an employee at the layout of
+     a subclass declaring one extra slot, with a slot array to match *)
+  let db2 = employee_db () in
   let e2 = new_employee db2 in
+  Db.define_class db2
+    (Schema.define "smuggler" ~super:"employee"
+       ~attrs:[ ("smuggled", Value.Null) ]);
+  let info = Hashtbl.find db2.Oodb.Types.class_info "smuggler" in
   let o = Oodb.Oid.Table.find db2.Oodb.Types.objects e2 in
-  (match o.Oodb.Types.store with
-  | Oodb.Types.S_table tbl -> Hashtbl.replace tbl "smuggled" Value.Null
-  | Oodb.Types.S_slots _ -> assert false);
+  o.Oodb.Types.info <- info;
+  o.Oodb.Types.slots <- Array.copy info.Oodb.Types.ri_layout.ly_defaults;
   (match Verify.check db2 with
   | Error ps ->
     Alcotest.(check bool) "flags undeclared attr" true
@@ -79,10 +83,7 @@ let test_detects_corruption () =
   let db3 = employee_db () in
   let e3 = new_employee db3 in
   let o3 = Oodb.Oid.Table.find db3.Oodb.Types.objects e3 in
-  (match o3.Oodb.Types.store with
-  | Oodb.Types.S_slots slots ->
-    o3.Oodb.Types.store <- Oodb.Types.S_slots (Array.sub slots 0 1)
-  | Oodb.Types.S_table _ -> assert false);
+  o3.Oodb.Types.slots <- Array.sub o3.Oodb.Types.slots 0 1;
   match Verify.check db3 with
   | Error ps ->
     Alcotest.(check bool) "flags short slot array" true
