@@ -610,21 +610,29 @@ let e11 () =
 (* E12: secondary-index ablation (substrate completeness)                     *)
 (* ------------------------------------------------------------------------- *)
 
+(* Query cost with and without indexes, then what the indexes cost: live
+   words per entry (Gc.stat runs a full major collection, so the figure is
+   deterministic) and build time, at unique keys and at 16 distinct keys,
+   and promoted words per indexed Db.set.  Under BENCH_SMOKE the run exits
+   1 when either index kind spends more than 10 words per entry at unique
+   keys or 6 at 16 keys. *)
 let e12 () =
   header "E12: query cost -- scan vs hash index vs ordered index (50k objects)";
+  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let n = 50_000 in
-  let build () =
+  let build ~keys =
     let db = Db.create () in
     Workloads.Payroll.install db;
     let rng = Prng.create 8 in
     for i = 0 to n - 1 do
+      let name, salary =
+        match keys with
+        | None -> (string_of_int i, Prng.float rng 10_000.)
+        | Some k -> (string_of_int (i mod k), float_of_int (i mod k))
+      in
       ignore
         (Db.new_object db "employee"
-           ~attrs:
-             [
-               ("name", Value.Str (string_of_int i));
-               ("salary", Value.Float (Prng.float rng 10_000.));
-             ])
+           ~attrs:[ ("name", Value.Str name); ("salary", Value.Float salary) ])
     done;
     db
   in
@@ -639,18 +647,74 @@ let e12 () =
     let (), ms = time_ms (fun () -> result := Oodb.Query.select db "employee" pred) in
     (ms, List.length !result)
   in
-  let db = build () in
+  (* live words per indexed object, and build time, for one index *)
+  let index_cost db kind attr =
+    let live () = (Gc.stat ()).Gc.live_words in
+    let before = live () in
+    let (), ms =
+      time_ms (fun () -> Db.create_index db ~kind ~cls:"employee" ~attr ())
+    in
+    let after = live () in
+    (* a use after the measurement keeps the database itself alive *)
+    assert (Db.has_index db ~cls:"employee" ~attr);
+    (float_of_int (after - before) /. float_of_int n, ms)
+  in
+  let db = build ~keys:None in
   let scan_eq, hits_eq = measure db eq_pred in
   let scan_rg, hits_rg = measure db range_pred in
-  Db.create_index db ~cls:"employee" ~attr:"name" ();
-  Db.create_index db ~kind:`Ordered ~cls:"employee" ~attr:"salary" ();
+  let hash_u = index_cost db `Hash "name" in
+  let ord_u = index_cost db `Ordered "salary" in
   let ix_eq, hits_eq' = measure db eq_pred in
   let ix_rg, hits_rg' = measure db range_pred in
   assert (hits_eq = hits_eq' && hits_rg = hits_rg');
   row "  equality probe   scan %10s   hash index    %10s  (%d hit)\n"
     (fmt_ms scan_eq) (fmt_ms ix_eq) hits_eq;
   row "  range probe      scan %10s   ordered index %10s  (%d hits)\n"
-    (fmt_ms scan_rg) (fmt_ms ix_rg) hits_rg
+    (fmt_ms scan_rg) (fmt_ms ix_rg) hits_rg;
+  (* promoted words per indexed set, each attribute updated in turn *)
+  let promoted_per_set attr value =
+    let rng = Prng.create 12 in
+    let oids = Array.of_list (Db.extent db "employee") in
+    let sets = 20_000 in
+    Gc.minor ();
+    let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+    for i = 1 to sets do
+      Db.set db (Prng.choice rng oids) attr (value rng i)
+    done;
+    Gc.minor ();
+    ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int sets
+  in
+  let promo_hash =
+    promoted_per_set "name" (fun _ i -> Value.Str (string_of_int (n + i)))
+  in
+  let promo_ord =
+    promoted_per_set "salary" (fun rng _ ->
+        Value.Float (Prng.float rng 10_000.))
+  in
+  let db16 = build ~keys:(Some 16) in
+  let hash_16 = index_cost db16 `Hash "name" in
+  let ord_16 = index_cost db16 `Ordered "salary" in
+  row "  index memory     %22s  %22s\n" "hash" "ordered";
+  let mem_row label (hw, hms) (ow, oms) =
+    row "  %-14s %9.2f w/entry %9s  %9.2f w/entry %9s\n" label hw (fmt_ms hms)
+      ow (fmt_ms oms)
+  in
+  mem_row "unique keys" hash_u ord_u;
+  mem_row "16 keys" hash_16 ord_16;
+  row "  promoted words per indexed Db.set: hash %.1f, ordered %.1f\n"
+    promo_hash promo_ord;
+  if smoke then begin
+    let over bound (w, _) = w > bound in
+    if over 10. hash_u || over 10. ord_u || over 6. hash_16 || over 6. ord_16
+    then begin
+      row "  FAIL: index memory above 10 words/entry at unique keys or 6 at \
+           16 keys\n";
+      exit 1
+    end
+    else
+      row "  bench-smoke gate: index memory <= 10 words/entry at unique keys, \
+           <= 6 at 16 keys (ok)\n"
+  end
 
 (* ------------------------------------------------------------------------- *)
 (* E13: write-ahead-log overhead and recovery                                 *)

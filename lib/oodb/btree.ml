@@ -1,148 +1,181 @@
-(* A textbook in-memory B+-tree: values only at the leaves, leaves linked
-   for range scans, splitting on overflow, borrowing/merging on underflow.
-   Nodes hold sorted arrays; with the default order of 16, the O(order)
-   array copies on mutation are cheaper than pointer-chasing structures. *)
+(* A textbook in-memory B+-tree whose keys are (value, OID) pairs: values
+   only at the leaves, leaves linked for range scans, splitting on overflow,
+   borrowing/merging on underflow.  Keying on the pair makes every entry
+   unique, so a duplicate value needs no per-key OID set, and the OIDs under
+   one value come out in OID order.
 
-type payload = unit Oid.Table.t
+   Nodes are fixed-capacity parallel arrays plus a fill count, allocated
+   once when the node is created; insert, remove, split, borrow and merge
+   shift entries with [Array.blit].  Slots past the fill count hold [Null]
+   and dead children, so a node retains nothing that left it. *)
 
 type node = Leaf of leaf | Node of internal
 
 and leaf = {
-  mutable entries : (Value.t * payload) array; (* sorted by key *)
+  mutable len : int;
+  (* pairs [0, len) sorted; capacity order + 1 (one transient overflow) *)
+  vals : Value.t array;
+  oids : Oid.t array;
   mutable next : leaf option;
 }
 
 and internal = {
-  (* keys.(i) is the smallest key reachable in children.(i+1);
-     Array.length children = Array.length keys + 1 *)
-  mutable keys : Value.t array;
-  mutable children : node array;
+  (* Separator [i] is the smallest pair reachable in child [i + 1];
+     [nsep] separators, [nsep + 1] children. *)
+  mutable nsep : int;
+  svals : Value.t array; (* capacity order *)
+  soids : Oid.t array;
+  kids : node array; (* capacity order + 1 *)
 }
 
 type t = { mutable root : node; order : int; mutable n_pairs : int }
 
+let no_oid = Oid.of_int 0
+let dead = Leaf { len = 0; vals = [||]; oids = [||]; next = None }
+
+let new_leaf order =
+  {
+    len = 0;
+    vals = Array.make (order + 1) Value.Null;
+    oids = Array.make (order + 1) no_oid;
+    next = None;
+  }
+
+let new_internal order =
+  {
+    nsep = 0;
+    svals = Array.make order Value.Null;
+    soids = Array.make order no_oid;
+    kids = Array.make (order + 1) dead;
+  }
+
 let create ?(order = 16) () =
   let order = max 4 order in
-  { root = Leaf { entries = [||]; next = None }; order; n_pairs = 0 }
+  { root = Leaf (new_leaf order); order; n_pairs = 0 }
 
 let cardinal t = t.n_pairs
 
-(* --- array helpers -------------------------------------------------------- *)
+(* --- comparisons --------------------------------------------------------- *)
 
-let array_insert a i x =
-  let n = Array.length a in
-  Array.init (n + 1) (fun j ->
-      if j < i then a.(j) else if j = i then x else a.(j - 1))
+let cmp_pair v (o : Oid.t) v' (o' : Oid.t) =
+  let c = Value.compare v v' in
+  if c <> 0 then c else Int.compare (o :> int) (o' :> int)
 
-let array_remove a i =
-  let n = Array.length a in
-  Array.init (n - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
+(* Leaf pair [i], or separator [i], against (v, o). *)
+let leaf_pair_cmp l i v o = cmp_pair l.vals.(i) l.oids.(i) v o
+let sep_cmp n i v o = cmp_pair n.svals.(i) n.soids.(i) v o
 
-(* Index of [key] in a sorted entries array, or the insertion point. *)
-let leaf_search entries key =
-  let lo = ref 0 and hi = ref (Array.length entries) in
+(* First leaf slot holding a pair >= (v, o). *)
+let leaf_search l v o =
+  let lo = ref 0 and hi = ref l.len in
   while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Value.compare (fst entries.(mid)) key < 0 then lo := mid + 1
-    else hi := mid
+    let mid = (!lo + !hi) lsr 1 in
+    if leaf_pair_cmp l mid v o < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
-(* Child index to route [key] to: first separator strictly greater wins. *)
-let route (n : internal) key =
-  let lo = ref 0 and hi = ref (Array.length n.keys) in
+(* Value-only searches take a [bias]: with 0 they find the first pair whose
+   value is >= v, with 1 the first whose value is > v. *)
+let leaf_search_value l v bias =
+  let lo = ref 0 and hi = ref l.len in
   while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Value.compare n.keys.(mid) key <= 0 then lo := mid + 1 else hi := mid
+    let mid = (!lo + !hi) lsr 1 in
+    if Value.compare l.vals.(mid) v < bias then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let node_size = function
-  | Leaf l -> Array.length l.entries
-  | Node n -> Array.length n.children
+(* Child holding pair (v, o): the number of separators <= it. *)
+let route n v o =
+  let lo = ref 0 and hi = ref n.nsep in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if sep_cmp n mid v o <= 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-(* --- find / iterate -------------------------------------------------------- *)
+(* Leftmost child that can hold the first pair [leaf_search_value] looks
+   for. *)
+let route_value n v bias =
+  let lo = ref 0 and hi = ref n.nsep in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Value.compare n.svals.(mid) v < bias then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let rec find_leaf node key =
+(* --- find / iterate ------------------------------------------------------ *)
+
+let rec leftmost = function Leaf l -> l | Node n -> leftmost n.kids.(0)
+let rec rightmost = function Leaf l -> l | Node n -> rightmost n.kids.(n.nsep)
+
+(* Leaf and slot of the first pair whose value is >= v ([bias] 0) or > v
+   ([bias] 1); the slot may be one past the leaf's last pair. *)
+let rec seek node v bias =
   match node with
-  | Leaf l -> l
-  | Node n -> find_leaf n.children.(route n key) key
+  | Leaf l -> (l, leaf_search_value l v bias)
+  | Node n -> seek n.kids.(route_value n v bias) v bias
 
-let payload_oids p =
-  Oid.Table.fold (fun oid () acc -> oid :: acc) p [] |> List.sort Oid.compare
+(* Walk the leaf chain from slot [i] of [l], calling [f] on each pair until
+   it returns false. *)
+let walk l i f =
+  let rec go l i =
+    if i < l.len then (if f l.vals.(i) l.oids.(i) then go l (i + 1))
+    else match l.next with Some l' -> go l' 0 | None -> ()
+  in
+  go l i
 
-let find t key =
-  let l = find_leaf t.root key in
-  let i = leaf_search l.entries key in
-  if i < Array.length l.entries && Value.equal (fst l.entries.(i)) key then
-    payload_oids (snd l.entries.(i))
-  else []
+let find t v =
+  let l, i = seek t.root v 0 in
+  let out = ref [] in
+  walk l i (fun v' o ->
+      Value.compare v' v = 0
+      && begin
+        out := o :: !out;
+        true
+      end);
+  List.rev !out
 
-let rec leftmost = function Leaf l -> l | Node n -> leftmost n.children.(0)
+(* Pairs grouped by value, ascending, from slot [i] of [l] while [keep]
+   holds. *)
+let grouped l i keep =
+  let out = ref [] in
+  walk l i (fun v o ->
+      keep v
+      && begin
+        (match !out with
+        | (k, os) :: rest when Value.compare k v = 0 ->
+          out := (k, o :: os) :: rest
+        | _ -> out := (v, [ o ]) :: !out);
+        true
+      end);
+  List.rev_map (fun (k, os) -> (k, List.rev os)) !out
+
+let range t ?lo ?hi () =
+  let start, i =
+    match lo with
+    | None -> (leftmost t.root, 0)
+    | Some (v, inclusive) -> seek t.root v (if inclusive then 0 else 1)
+  in
+  let below_hi =
+    match hi with
+    | None -> fun _ -> true
+    | Some (w, inclusive) ->
+      if inclusive then fun k -> Value.compare k w <= 0
+      else fun k -> Value.compare k w < 0
+  in
+  grouped start i below_hi
 
 let iter t f =
-  let rec walk = function
-    | None -> ()
-    | Some l ->
-      Array.iter (fun (k, p) -> f k (payload_oids p)) l.entries;
-      walk l.next
-  in
-  walk (Some (leftmost t.root))
+  grouped (leftmost t.root) 0 (fun _ -> true)
+  |> List.iter (fun (k, oids) -> f k oids)
 
 let min_key t =
-  let rec first = function
-    | None -> None
-    | Some l ->
-      if Array.length l.entries > 0 then Some (fst l.entries.(0))
-      else first l.next
-  in
-  first (Some (leftmost t.root))
-
-let rec rightmost = function
-  | Leaf l -> l
-  | Node n -> rightmost n.children.(Array.length n.children - 1)
+  let l = leftmost t.root in
+  if l.len > 0 then Some l.vals.(0) else None
 
 let max_key t =
   let l = rightmost t.root in
-  let n = Array.length l.entries in
-  if n > 0 then Some (fst l.entries.(n - 1)) else None
-
-let range t ?lo ?hi () =
-  let start =
-    match lo with
-    | None -> leftmost t.root
-    | Some (v, _) -> find_leaf t.root v
-  in
-  let keep_lo k =
-    match lo with
-    | None -> true
-    | Some (v, inclusive) ->
-      let c = Value.compare k v in
-      if inclusive then c >= 0 else c > 0
-  in
-  let below_hi k =
-    match hi with
-    | None -> true
-    | Some (v, inclusive) ->
-      let c = Value.compare k v in
-      if inclusive then c <= 0 else c < 0
-  in
-  let out = ref [] in
-  let exception Done in
-  (try
-     let rec walk = function
-       | None -> ()
-       | Some l ->
-         Array.iter
-           (fun (k, p) ->
-             if not (below_hi k) then raise Done;
-             if keep_lo k then out := (k, payload_oids p) :: !out)
-           l.entries;
-         walk l.next
-     in
-     walk (Some start)
-   with Done -> ());
-  List.rev !out
+  if l.len > 0 then Some l.vals.(l.len - 1) else None
 
 let key_count t =
   let n = ref 0 in
@@ -150,245 +183,295 @@ let key_count t =
   !n
 
 let height t =
-  let rec depth = function Leaf _ -> 1 | Node n -> 1 + depth n.children.(0) in
+  let rec depth = function Leaf _ -> 1 | Node n -> 1 + depth n.kids.(0) in
   depth t.root
 
 let clear t =
-  t.root <- Leaf { entries = [||]; next = None };
+  t.root <- Leaf (new_leaf t.order);
   t.n_pairs <- 0
 
-(* --- insertion --------------------------------------------------------------- *)
+(* --- in-place slot shifting ---------------------------------------------- *)
 
-(* Insert into a subtree; returns [Some (separator, right_sibling)] when the
-   node split. *)
-let rec insert_rec t node key oid =
+(* Open slot [i] of a leaf (entries [i, len) move right by one). *)
+let leaf_open l i =
+  Array.blit l.vals i l.vals (i + 1) (l.len - i);
+  Array.blit l.oids i l.oids (i + 1) (l.len - i);
+  l.len <- l.len + 1
+
+(* Close slot [i] of a leaf and clear the vacated last slot. *)
+let leaf_close l i =
+  let n = l.len - 1 in
+  Array.blit l.vals (i + 1) l.vals i (n - i);
+  Array.blit l.oids (i + 1) l.oids i (n - i);
+  l.vals.(n) <- Value.Null;
+  l.len <- n
+
+(* Move leaf slots [from, len) to the end of [dst]; [src] keeps [0, from). *)
+let leaf_move src from dst =
+  let k = src.len - from in
+  Array.blit src.vals from dst.vals dst.len k;
+  Array.blit src.oids from dst.oids dst.len k;
+  Array.fill src.vals from k Value.Null;
+  src.len <- from;
+  dst.len <- dst.len + k
+
+(* Open separator slot [i] and child slot [i + 1]. *)
+let node_open n i =
+  Array.blit n.svals i n.svals (i + 1) (n.nsep - i);
+  Array.blit n.soids i n.soids (i + 1) (n.nsep - i);
+  Array.blit n.kids (i + 1) n.kids (i + 2) (n.nsep - i);
+  n.nsep <- n.nsep + 1
+
+(* Close separator slot [i] and child slot [i + ki] ([ki] is 0 or 1). *)
+let node_close n i ki =
+  let s = n.nsep - 1 in
+  Array.blit n.svals (i + 1) n.svals i (s - i);
+  Array.blit n.soids (i + 1) n.soids i (s - i);
+  Array.blit n.kids (i + ki + 1) n.kids (i + ki) (s + 1 - i - ki);
+  n.svals.(s) <- Value.Null;
+  n.kids.(s + 1) <- dead;
+  n.nsep <- s
+
+let set_sep n i v o =
+  n.svals.(i) <- v;
+  n.soids.(i) <- o
+
+(* Merge: append separator (v, o), then all of [src]'s separators and
+   children, to [dst].  [src] is discarded. *)
+let node_append dst v o src =
+  let d = dst.nsep + 1 in
+  set_sep dst dst.nsep v o;
+  Array.blit src.svals 0 dst.svals d src.nsep;
+  Array.blit src.soids 0 dst.soids d src.nsep;
+  Array.blit src.kids 0 dst.kids d (src.nsep + 1);
+  dst.nsep <- d + src.nsep
+
+(* --- insertion ----------------------------------------------------------- *)
+
+type split = No_split | Split of Value.t * Oid.t * node
+
+(* Insert into a subtree; [Split (v, o, right)] when the node split, with
+   (v, o) the smallest pair of [right]. *)
+let rec insert_rec t node v o =
   match node with
   | Leaf l ->
-    let i = leaf_search l.entries key in
-    if i < Array.length l.entries && Value.equal (fst l.entries.(i)) key then begin
-      let p = snd l.entries.(i) in
-      if not (Oid.Table.mem p oid) then begin
-        Oid.Table.replace p oid ();
-        t.n_pairs <- t.n_pairs + 1
-      end;
-      None
-    end
+    let i = leaf_search l v o in
+    if i < l.len && leaf_pair_cmp l i v o = 0 then No_split
     else begin
-      let p = Oid.Table.create 2 in
-      Oid.Table.replace p oid ();
-      l.entries <- array_insert l.entries i (key, p);
+      leaf_open l i;
+      l.vals.(i) <- v;
+      l.oids.(i) <- o;
       t.n_pairs <- t.n_pairs + 1;
-      if Array.length l.entries <= t.order then None
+      if l.len <= t.order then No_split
       else begin
-        (* split the leaf in half; the right half's first key separates *)
-        let n = Array.length l.entries in
-        let mid = n / 2 in
-        let right =
-          { entries = Array.sub l.entries mid (n - mid); next = l.next }
-        in
-        l.entries <- Array.sub l.entries 0 mid;
+        let right = new_leaf t.order in
+        leaf_move l (l.len / 2) right;
+        right.next <- l.next;
         l.next <- Some right;
-        Some (fst right.entries.(0), Leaf right)
+        Split (right.vals.(0), right.oids.(0), Leaf right)
       end
     end
   | Node n -> (
-    let i = route n key in
-    match insert_rec t n.children.(i) key oid with
-    | None -> None
-    | Some (sep, right) ->
-      n.keys <- array_insert n.keys i sep;
-      n.children <- array_insert n.children (i + 1) right;
-      if Array.length n.children <= t.order then None
+    let i = route n v o in
+    match insert_rec t n.kids.(i) v o with
+    | No_split -> No_split
+    | Split (sv, so, child) ->
+      node_open n i;
+      set_sep n i sv so;
+      n.kids.(i + 1) <- child;
+      if n.nsep < t.order then No_split
       else begin
-        (* split the internal node: the middle separator moves up *)
-        let nk = Array.length n.keys in
-        let mid = nk / 2 in
-        let up = n.keys.(mid) in
-        let right =
-          {
-            keys = Array.sub n.keys (mid + 1) (nk - mid - 1);
-            children =
-              Array.sub n.children (mid + 1) (Array.length n.children - mid - 1);
-          }
-        in
-        n.keys <- Array.sub n.keys 0 mid;
-        n.children <- Array.sub n.children 0 (mid + 1);
-        Some (up, Node right)
+        (* the middle separator moves up; the right node starts with the
+           child to its right *)
+        let mid = n.nsep / 2 in
+        let uv = n.svals.(mid) and uo = n.soids.(mid) in
+        let right = new_internal t.order in
+        right.kids.(0) <- n.kids.(mid + 1);
+        let k = n.nsep - mid - 1 in
+        Array.blit n.svals (mid + 1) right.svals 0 k;
+        Array.blit n.soids (mid + 1) right.soids 0 k;
+        Array.blit n.kids (mid + 2) right.kids 1 k;
+        right.nsep <- k;
+        Array.fill n.svals mid (k + 1) Value.Null;
+        Array.fill n.kids (mid + 1) (k + 1) dead;
+        n.nsep <- mid;
+        Split (uv, uo, Node right)
       end)
 
-let insert t key oid =
-  match insert_rec t t.root key oid with
-  | None -> ()
-  | Some (sep, right) ->
-    t.root <- Node { keys = [| sep |]; children = [| t.root; right |] }
+let insert t v o =
+  match insert_rec t t.root v o with
+  | No_split -> ()
+  | Split (sv, so, right) ->
+    let r = new_internal t.order in
+    r.kids.(0) <- t.root;
+    r.kids.(1) <- right;
+    set_sep r 0 sv so;
+    r.nsep <- 1;
+    t.root <- Node r
 
-(* --- deletion ------------------------------------------------------------------ *)
+(* --- deletion ------------------------------------------------------------ *)
 
 let min_leaf_entries t = t.order / 2
 let min_node_children t = (t.order + 1) / 2
 
-let first_key_of_subtree node =
-  let l = leftmost node in
-  fst l.entries.(0)
+let can_lend t = function
+  | Leaf l -> l.len > min_leaf_entries t
+  | Node n -> n.nsep + 1 > min_node_children t
 
-(* Rebalance child [i] of [parent] after a removal left it under-occupied. *)
-let fix_child t (parent : internal) i =
-  let child = parent.children.(i) in
+(* Rebalance child [i] of [p] after a removal left it under-occupied. *)
+let fix_child t p i =
   let underflow =
-    match child with
-    | Leaf l -> Array.length l.entries < min_leaf_entries t
-    | Node n -> Array.length n.children < min_node_children t
+    match p.kids.(i) with
+    | Leaf l -> l.len < min_leaf_entries t
+    | Node n -> n.nsep + 1 < min_node_children t
   in
   if underflow then begin
-    let left = if i > 0 then Some (parent.children.(i - 1)) else None in
-    let right =
-      if i < Array.length parent.children - 1 then Some (parent.children.(i + 1))
-      else None
-    in
-    let can_lend = function
-      | Some (Leaf l) -> Array.length l.entries > min_leaf_entries t
-      | Some (Node n) -> Array.length n.children > min_node_children t
-      | None -> false
-    in
-    match (child, left, right) with
-    (* -- borrow into a leaf ------------------------------------------------ *)
-    | Leaf c, Some (Leaf l), _ when can_lend left ->
-      let n = Array.length l.entries in
-      c.entries <- array_insert c.entries 0 l.entries.(n - 1);
-      l.entries <- array_remove l.entries (n - 1);
-      parent.keys.(i - 1) <- fst c.entries.(0)
-    | Leaf c, _, Some (Leaf r) when can_lend right ->
-      c.entries <- array_insert c.entries (Array.length c.entries) r.entries.(0);
-      r.entries <- array_remove r.entries 0;
-      parent.keys.(i) <- fst r.entries.(0)
-    (* -- borrow into an internal node -------------------------------------- *)
-    | Node c, Some (Node l), _ when can_lend left ->
-      let nk = Array.length l.keys and nc = Array.length l.children in
-      c.keys <- array_insert c.keys 0 parent.keys.(i - 1);
-      c.children <- array_insert c.children 0 l.children.(nc - 1);
-      parent.keys.(i - 1) <- l.keys.(nk - 1);
-      l.keys <- array_remove l.keys (nk - 1);
-      l.children <- array_remove l.children (nc - 1)
-    | Node c, _, Some (Node r) when can_lend right ->
-      c.keys <- array_insert c.keys (Array.length c.keys) parent.keys.(i);
-      c.children <-
-        array_insert c.children (Array.length c.children) r.children.(0);
-      parent.keys.(i) <- r.keys.(0);
-      r.keys <- array_remove r.keys 0;
-      r.children <- array_remove r.children 0
-    (* -- merge with a sibling ----------------------------------------------- *)
-    | Leaf c, Some (Leaf l), _ ->
-      l.entries <- Array.append l.entries c.entries;
-      l.next <- c.next;
-      parent.keys <- array_remove parent.keys (i - 1);
-      parent.children <- array_remove parent.children i
-    | Leaf c, None, Some (Leaf r) ->
-      c.entries <- Array.append c.entries r.entries;
-      c.next <- r.next;
-      parent.keys <- array_remove parent.keys i;
-      parent.children <- array_remove parent.children (i + 1)
-    | Node c, Some (Node l), _ ->
-      l.keys <- Array.append l.keys (array_insert c.keys 0 parent.keys.(i - 1));
-      l.children <- Array.append l.children c.children;
-      parent.keys <- array_remove parent.keys (i - 1);
-      parent.children <- array_remove parent.children i
-    | Node c, None, Some (Node r) ->
-      c.keys <- Array.append c.keys (array_insert r.keys 0 parent.keys.(i));
-      c.children <- Array.append c.children r.children;
-      parent.keys <- array_remove parent.keys i;
-      parent.children <- array_remove parent.children (i + 1)
-    (* a leaf's siblings are leaves; an internal node's are internal *)
-    | Leaf _, Some (Node _), _
-    | Leaf _, None, Some (Node _)
-    | Node _, Some (Leaf _), _
-    | Node _, None, Some (Leaf _) ->
-      assert false
-    | _, None, None -> () (* the root has no siblings *)
+    let has_left = i > 0 and has_right = i < p.nsep in
+    match p.kids.(i) with
+    | Leaf c ->
+      let sib j = match p.kids.(j) with Leaf s -> s | Node _ -> assert false in
+      if has_left && can_lend t p.kids.(i - 1) then begin
+        let l = sib (i - 1) in
+        let last = l.len - 1 in
+        leaf_open c 0;
+        c.vals.(0) <- l.vals.(last);
+        c.oids.(0) <- l.oids.(last);
+        leaf_close l last;
+        set_sep p (i - 1) c.vals.(0) c.oids.(0)
+      end
+      else if has_right && can_lend t p.kids.(i + 1) then begin
+        let r = sib (i + 1) in
+        c.vals.(c.len) <- r.vals.(0);
+        c.oids.(c.len) <- r.oids.(0);
+        c.len <- c.len + 1;
+        leaf_close r 0;
+        set_sep p i r.vals.(0) r.oids.(0)
+      end
+      else if has_left then begin
+        let l = sib (i - 1) in
+        leaf_move c 0 l;
+        l.next <- c.next;
+        node_close p (i - 1) 1
+      end
+      else if has_right then begin
+        let r = sib (i + 1) in
+        leaf_move r 0 c;
+        c.next <- r.next;
+        node_close p i 1
+      end
+    | Node c ->
+      let sib j = match p.kids.(j) with Node s -> s | Leaf _ -> assert false in
+      if has_left && can_lend t p.kids.(i - 1) then begin
+        (* rotate right through the parent separator *)
+        let l = sib (i - 1) in
+        let ls = l.nsep - 1 in
+        node_open c 0;
+        c.kids.(1) <- c.kids.(0);
+        c.kids.(0) <- l.kids.(ls + 1);
+        set_sep c 0 p.svals.(i - 1) p.soids.(i - 1);
+        set_sep p (i - 1) l.svals.(ls) l.soids.(ls);
+        node_close l ls 1
+      end
+      else if has_right && can_lend t p.kids.(i + 1) then begin
+        (* rotate left through the parent separator *)
+        let r = sib (i + 1) in
+        set_sep c c.nsep p.svals.(i) p.soids.(i);
+        c.kids.(c.nsep + 1) <- r.kids.(0);
+        c.nsep <- c.nsep + 1;
+        set_sep p i r.svals.(0) r.soids.(0);
+        node_close r 0 0
+      end
+      else if has_left then begin
+        node_append (sib (i - 1)) p.svals.(i - 1) p.soids.(i - 1) c;
+        node_close p (i - 1) 1
+      end
+      else if has_right then begin
+        node_append c p.svals.(i) p.soids.(i) (sib (i + 1));
+        node_close p i 1
+      end
   end
 
-let rec remove_rec t node key oid =
+let rec remove_rec t node v o =
   match node with
   | Leaf l ->
-    let i = leaf_search l.entries key in
-    if i < Array.length l.entries && Value.equal (fst l.entries.(i)) key then begin
-      let p = snd l.entries.(i) in
-      if Oid.Table.mem p oid then begin
-        Oid.Table.remove p oid;
-        t.n_pairs <- t.n_pairs - 1;
-        if Oid.Table.length p = 0 then l.entries <- array_remove l.entries i
-      end
+    let i = leaf_search l v o in
+    if i < l.len && leaf_pair_cmp l i v o = 0 then begin
+      leaf_close l i;
+      t.n_pairs <- t.n_pairs - 1
     end
   | Node n ->
-    let i = route n key in
-    remove_rec t n.children.(i) key oid;
-    (* keep the separator exact: it must equal the smallest key on the
-       right, which removal may have changed *)
-    if i > 0 && node_size n.children.(i) > 0 then
-      n.keys.(i - 1) <- first_key_of_subtree n.children.(i);
+    let i = route n v o in
+    remove_rec t n.kids.(i) v o;
+    (* keep the separator exact: when the removed pair was the smallest of
+       child [i], the separator now names the child's new smallest pair *)
+    if i > 0 && sep_cmp n (i - 1) v o = 0 then begin
+      let l = leftmost n.kids.(i) in
+      set_sep n (i - 1) l.vals.(0) l.oids.(0)
+    end;
     fix_child t n i
 
-let remove t key oid =
-  remove_rec t t.root key oid;
+let remove t v o =
+  remove_rec t t.root v o;
   (* collapse a root that lost all but one child *)
   match t.root with
-  | Node n when Array.length n.children = 1 -> t.root <- n.children.(0)
+  | Node n when n.nsep = 0 -> t.root <- n.kids.(0)
   | Node _ | Leaf _ -> ()
 
-(* --- invariants ------------------------------------------------------------------ *)
+(* --- invariants ---------------------------------------------------------- *)
 
 let check_invariants t =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
+  let leaves = ref [] in
+  (* [lo] inclusive, [hi] exclusive pair bounds; returns the depth *)
   let rec check node ~is_root ~lo ~hi =
-    (* returns depth *)
-    let in_bounds k =
-      (match lo with Some v when Value.compare k v < 0 -> false | _ -> true)
-      && match hi with Some v when Value.compare k v >= 0 -> false | _ -> true
+    let in_bounds v o =
+      (match lo with Some (lv, lo) -> cmp_pair v o lv lo >= 0 | None -> true)
+      && match hi with Some (hv, ho) -> cmp_pair v o hv ho < 0 | None -> true
     in
     match node with
     | Leaf l ->
-      let n = Array.length l.entries in
-      if (not is_root) && n < min_leaf_entries t then
-        bad "leaf underflow: %d < %d" n (min_leaf_entries t);
-      if n > t.order then bad "leaf overflow: %d" n;
-      Array.iteri
-        (fun i (k, p) ->
-          if not (in_bounds k) then bad "leaf key out of separator bounds";
-          if Oid.Table.length p = 0 then bad "empty payload";
-          if i > 0 && Value.compare (fst l.entries.(i - 1)) k >= 0 then
-            bad "leaf keys not strictly increasing")
-        l.entries;
+      leaves := l :: !leaves;
+      if (not is_root) && l.len < min_leaf_entries t then
+        bad "leaf underflow: %d < %d" l.len (min_leaf_entries t);
+      if l.len > t.order then bad "leaf overflow: %d" l.len;
+      for i = 0 to l.len - 1 do
+        if not (in_bounds l.vals.(i) l.oids.(i)) then
+          bad "leaf pair out of separator bounds";
+        if i > 0 && leaf_pair_cmp l (i - 1) l.vals.(i) l.oids.(i) >= 0 then
+          bad "leaf pairs not strictly increasing"
+      done;
+      for i = l.len to Array.length l.vals - 1 do
+        if l.vals.(i) != Value.Null then bad "leaf retains a vacated value"
+      done;
       1
     | Node n ->
-      let nc = Array.length n.children in
-      if Array.length n.keys <> nc - 1 then bad "keys/children arity mismatch";
+      let nc = n.nsep + 1 in
       if (not is_root) && nc < min_node_children t then
         bad "internal underflow: %d < %d" nc (min_node_children t);
       if is_root && nc < 2 then bad "internal root with < 2 children";
       if nc > t.order then bad "internal overflow: %d" nc;
-      Array.iteri
-        (fun i k ->
-          if not (in_bounds k) then bad "separator out of bounds";
-          if i > 0 && Value.compare n.keys.(i - 1) k >= 0 then
-            bad "separators not strictly increasing")
-        n.keys;
-      (* each separator equals the smallest key of the child to its right *)
-      Array.iteri
-        (fun i k ->
-          if node_size n.children.(i + 1) > 0 then
-            let smallest = first_key_of_subtree n.children.(i + 1) in
-            if not (Value.equal smallest k) then
-              bad "separator %s != child min %s" (Value.to_string k)
-                (Value.to_string smallest))
-        n.keys;
+      for i = 0 to n.nsep - 1 do
+        if not (in_bounds n.svals.(i) n.soids.(i)) then
+          bad "separator out of bounds";
+        if i > 0 && sep_cmp n (i - 1) n.svals.(i) n.soids.(i) >= 0 then
+          bad "separators not strictly increasing";
+        (* each separator is the smallest pair of the child to its right *)
+        let l = leftmost n.kids.(i + 1) in
+        if l.len > 0 && sep_cmp n i l.vals.(0) l.oids.(0) <> 0 then
+          bad "separator %s != child min %s" (Value.to_string n.svals.(i))
+            (Value.to_string l.vals.(0))
+      done;
+      for i = n.nsep to Array.length n.svals - 1 do
+        if n.svals.(i) != Value.Null || n.kids.(i + 1) != dead then
+          bad "internal node retains a vacated entry"
+      done;
+      let sep i = Some (n.svals.(i), n.soids.(i)) in
       let depths =
-        Array.mapi
-          (fun i child ->
-            let lo = if i = 0 then lo else Some n.keys.(i - 1) in
-            let hi = if i = nc - 1 then hi else Some n.keys.(i) in
-            check child ~is_root:false ~lo ~hi)
-          n.children
+        Array.init nc (fun i ->
+            let lo = if i = 0 then lo else sep (i - 1) in
+            let hi = if i = nc - 1 then hi else sep i in
+            check n.kids.(i) ~is_root:false ~lo ~hi)
       in
       Array.iter
         (fun d -> if d <> depths.(0) then bad "non-uniform leaf depth")
@@ -397,16 +480,20 @@ let check_invariants t =
   in
   try
     let (_ : int) = check t.root ~is_root:true ~lo:None ~hi:None in
-    (* leaf chain visits exactly the tree's keys in order *)
-    let chain = ref [] in
-    iter t (fun k _ -> chain := k :: !chain);
-    let sorted = List.sort Value.compare !chain in
-    if List.rev !chain <> sorted then fail "leaf chain out of order"
-    else begin
-      let pairs = ref 0 in
-      iter t (fun _ oids -> pairs := !pairs + List.length oids);
-      if !pairs <> t.n_pairs then
-        fail "cardinal mismatch: counted %d, recorded %d" !pairs t.n_pairs
-      else Ok ()
-    end
+    (* the leaf chain links exactly the tree's leaves, left to right *)
+    let rec chain = function
+      | [] -> ()
+      | [ l ] ->
+        if Option.is_some l.next then bad "leaf chain runs past the last leaf"
+      | l :: (l' :: _ as rest) -> (
+        match l.next with
+        | Some n when n == l' -> chain rest
+        | _ -> bad "leaf chain out of order")
+    in
+    let leaves = List.rev !leaves in
+    chain leaves;
+    let pairs = List.fold_left (fun acc l -> acc + l.len) 0 leaves in
+    if pairs <> t.n_pairs then
+      bad "cardinal mismatch: counted %d, recorded %d" pairs t.n_pairs;
+    Ok ()
   with Bad msg -> Error msg

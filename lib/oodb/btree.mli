@@ -6,16 +6,24 @@
     {!Query}.  Keys are ordered by {!Value.compare} (numeric values compare
     across [Int]/[Float]).
 
-    The implementation is a textbook B+-tree: values only in leaves, leaves
-    doubly linked for range scans, node splitting on overflow and borrowing/
-    merging on underflow.  [check_invariants] verifies structure and is
-    exercised by the property tests. *)
+    The implementation is a textbook B+-tree: values only in leaves, each
+    leaf linked to its right sibling ([next] only) for range scans, node
+    splitting on overflow and borrowing/merging on underflow.  The tree is
+    keyed on (value, OID) pairs, so a value held by many objects is a run
+    of adjacent pairs rather than a per-key OID set: a key with one object
+    costs one pair, and {!find} reads the run off in OID order.  Nodes are
+    fixed-capacity arrays plus a fill count, allocated once per node;
+    insert, remove, split, borrow and merge shift entries in place with
+    [Array.blit], so an update allocates nothing unless a node splits.
+    [check_invariants] verifies structure and is exercised by the property
+    tests. *)
 
 type t
 
 val create : ?order:int -> unit -> t
-(** [order] is the maximum number of keys per node (default 16, minimum 4;
-    smaller orders are useful in tests to force deep trees). *)
+(** [order] is the maximum number of (key, oid) pairs per leaf and of
+    children per internal node (default 16, minimum 4; smaller orders are
+    useful in tests to force deep trees). *)
 
 val insert : t -> Value.t -> Oid.t -> unit
 (** Idempotent per (key, oid) pair. *)
@@ -55,5 +63,6 @@ val iter : t -> (Value.t -> Oid.t list -> unit) -> unit
 val clear : t -> unit
 
 val check_invariants : t -> (unit, string) result
-(** Structural validation: key ordering, separator correctness, occupancy
-    bounds, uniform leaf depth, leaf-chain consistency. *)
+(** Structural validation: pair ordering, separator correctness, occupancy
+    bounds, uniform leaf depth, leaf-chain consistency, and that no node
+    keeps a reference in a slot past its fill count. *)

@@ -187,20 +187,23 @@ let has_class db name = Hashtbl.mem db.classes name
 
 let new_object db ?(attrs = []) cls =
   let info = info db cls in
-  let o = Heap.make_obj ~id:(Oid.of_int 0) ~cls ~info ~seed:`Defaults ~consumers:[] in
+  let ly = info.ri_layout in
+  let slots = Array.copy ly.ly_defaults in
   let put (name, v) =
-    (* the declared attribute set is exactly what `Defaults seeded *)
-    match Heap.obj_get o name with
+    match Hashtbl.find_opt ly.ly_by_name name with
+    | Some i -> slots.(i) <- v
     | None -> raise (Errors.No_such_attribute (cls, name))
-    | Some _ -> Heap.store_put_raw o name v
   in
   List.iter put attrs;
   let id = Oid.of_int db.next_oid in
   db.next_oid <- db.next_oid + db.oid_stride;
-  let o = { o with id } in
+  let o = Heap.make_obj ~id ~cls ~info ~seed:(`Slots slots) ~consumers:[] in
   Heap.insert_obj db o;
   Transaction.log_undo db (U_created id);
-  journal db (J_mutation (M_create (id, cls, Heap.sorted_attrs o)));
+  (* the sorted attribute list is built only for an attached journal *)
+  (match db.on_journal with
+  | Some f -> f (J_mutation (M_create (id, cls, Heap.sorted_attrs o)))
+  | None -> ());
   id
 
 (* Align the allocator to the shard's residue class.  Called at shard setup
@@ -601,13 +604,22 @@ let create_index db ?(kind = `Hash) ~cls ~attr () =
     let ix = { ix_class = cls; ix_attr = attr; ix_backing } in
     Hashtbl.replace db.indexes (cls, attr) ix;
     db.index_gen <- db.index_gen + 1;
-    let add oid =
-      let o = Heap.find_obj db oid in
-      match Heap.obj_get o attr with
-      | Some v -> Heap.index_add ix v oid
-      | None -> ()
+    (* Fill straight from the extent tables: every instance of a class
+       shares its layout, so the attribute's slot resolves once per class. *)
+    let add_class c =
+      match
+        ( Hashtbl.find_opt db.extents c,
+          Hashtbl.find_opt (info db c).ri_layout.ly_by_name attr )
+      with
+      | Some ext, Some i ->
+        Oid.Table.iter
+          (fun oid () ->
+            let v = Array.unsafe_get (Oid.Table.find db.objects oid).slots i in
+            if v != absent then Heap.index_add ix v oid)
+          ext
+      | _ -> ()
     in
-    List.iter add (extent db ~deep:true cls);
+    List.iter add_class (subclasses db cls);
     journal db (J_mutation (M_create_index (cls, attr, kind = `Ordered)))
   end
 
@@ -635,9 +647,7 @@ let index_lookup db ~cls ~attr v =
   | Ix_hash entries -> (
     match Hashtbl.find_opt entries v with
     | None -> []
-    | Some bucket ->
-      Oid.Table.fold (fun oid () acc -> oid :: acc) bucket []
-      |> List.sort Oid.compare)
+    | Some p -> Posting.to_list p)
   | Ix_ordered tree -> Btree.find tree v
 
 let index_range db ~cls ~attr ?lo ?hi () =

@@ -60,23 +60,20 @@ let index_remove ix v oid =
   | Ix_hash entries -> (
     match Hashtbl.find_opt entries v with
     | None -> ()
-    | Some bucket ->
-      Oid.Table.remove bucket oid;
-      if Oid.Table.length bucket = 0 then Hashtbl.remove entries v)
+    | Some p ->
+      let p' = Posting.remove p oid in
+      if Posting.is_empty p' then Hashtbl.remove entries v
+      else if p' != p then Hashtbl.replace entries v p')
   | Ix_ordered tree -> Btree.remove tree v oid
 
 let index_add ix v oid =
   match ix.ix_backing with
   | Ix_hash entries ->
-    let bucket =
-      match Hashtbl.find_opt entries v with
-      | Some b -> b
-      | None ->
-        let b = Oid.Table.create 4 in
-        Hashtbl.replace entries v b;
-        b
+    let p =
+      match Hashtbl.find_opt entries v with Some p -> p | None -> Posting.empty
     in
-    Oid.Table.replace bucket oid ()
+    let p' = Posting.add p oid in
+    if p' != p then Hashtbl.replace entries v p'
   | Ix_ordered tree -> Btree.insert tree v oid
 
 (* --- store access -------------------------------------------------------- *)
@@ -125,19 +122,19 @@ let store_remove_raw (o : obj) name =
 
 (* --- construction -------------------------------------------------------- *)
 
-(* A fresh object of [info]'s class: [`Defaults] seeds every declared
-   attribute with its default (object creation), [`Empty] starts all-absent
-   (snapshot loading, which replays the saved attributes on top). *)
+(* A fresh object of [info]'s class: [`Slots a] takes a slot array laid out
+   by the class (object creation fills a copy of the defaults), [`Empty]
+   starts all-absent (snapshot loading, which replays the saved attributes
+   on top). *)
 let make_obj ~id ~cls ~info ~seed ~consumers =
-  let ly = info.ri_layout in
   {
     id;
     cls;
     info;
     slots =
       (match seed with
-      | `Defaults -> Array.copy ly.ly_defaults
-      | `Empty -> Array.make (Array.length ly.ly_defaults) absent);
+      | `Slots a -> a
+      | `Empty -> Array.make (Array.length info.ri_layout.ly_defaults) absent);
     consumers;
     alive = true;
     dirty_gen = 0;

@@ -4,7 +4,10 @@
     which the paper treats as first-class citizens — is named by an OID that
     is unique within its database and never reused. *)
 
-type t
+type t = private int
+(** Private so that OID arrays and comparisons compile to plain integer
+    code (the B+-tree leaves store OIDs unboxed); build OIDs with
+    {!of_int}. *)
 
 val of_int : int -> t
 (** [of_int n] builds the OID with raw value [n].  Intended for the

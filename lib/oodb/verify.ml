@@ -15,9 +15,10 @@ let check ?(quiescent = false) (db : Db.t) =
         complain "%s: unregistered class %s" (Oid.to_string oid) o.cls
       else begin
         (* extent membership *)
-        (match List.find_opt (Oid.equal oid) (Db.extent db ~deep:false o.cls) with
-        | Some _ -> ()
-        | None -> complain "%s: missing from extent of %s" (Oid.to_string oid) o.cls);
+        (match Hashtbl.find_opt db.extents o.cls with
+        | Some ext when Oid.Table.mem ext oid -> ()
+        | _ ->
+          complain "%s: missing from extent of %s" (Oid.to_string oid) o.cls);
         (* the denormalized info pointer must be the registered one *)
         (match Hashtbl.find_opt db.class_info o.cls with
         | Some ci when ci != o.info ->
@@ -72,8 +73,9 @@ let check ?(quiescent = false) (db : Db.t) =
         match ix.ix_backing with
         | Ix_hash entries ->
           Hashtbl.fold
-            (fun v bucket acc ->
-              Oid.Table.fold (fun oid () acc -> (v, oid) :: acc) bucket acc)
+            (fun v p acc ->
+              List.fold_left (fun acc oid -> (v, oid) :: acc) acc
+                (Posting.to_list p))
             entries []
         | Ix_ordered tree ->
           (match Btree.check_invariants tree with
@@ -101,11 +103,14 @@ let check ?(quiescent = false) (db : Db.t) =
                 (Oid.to_string oid))
         indexed_pairs;
       (* every matching object is indexed *)
-      let indexed_oids = List.map snd indexed_pairs in
+      let indexed_oids = Oid.Table.create 64 in
+      List.iter
+        (fun (_, oid) -> Oid.Table.replace indexed_oids oid ())
+        indexed_pairs;
       List.iter
         (fun oid ->
           match Db.get_opt db oid attr with
-          | Some _ when not (List.exists (Oid.equal oid) indexed_oids) ->
+          | Some _ when not (Oid.Table.mem indexed_oids oid) ->
             complain "index %s.%s: live object %s not indexed" cls attr
               (Oid.to_string oid)
           | _ -> ())

@@ -126,10 +126,16 @@ let test_mixed_value_types () =
 
 (* Random insert/remove interleavings keep invariants and agree with a
    model (sorted association list). *)
-let ops_gen =
+let ops_gen_of ~keys ~oids =
   QCheck2.Gen.(
     list_size (int_bound 300)
-      (pair bool (pair (int_bound 40) (int_bound 5))))
+      (pair bool (pair (int_bound keys) (int_bound oids))))
+
+let ops_gen = ops_gen_of ~keys:40 ~oids:5
+
+(* Duplicate-heavy: 3 keys, each holding dozens of OIDs, so one key's
+   pairs span several leaves and grow and shrink across splits and merges. *)
+let dup_ops_gen = ops_gen_of ~keys:3 ~oids:300
 
 let model_of_ops ops =
   List.fold_left
@@ -157,18 +163,23 @@ let tree_contents t =
   Btree.iter t (fun k oids -> out := (Value.to_int k, List.map Oid.to_int oids) :: !out);
   List.rev !out
 
+let model_matches (order, ops) =
+  let t = tree_of_ops order ops in
+  let model =
+    model_of_ops ops
+    |> List.map (fun (k, ids) -> (k, List.sort compare ids))
+    |> List.sort compare
+  in
+  tree_contents t = model
+  && List.for_all
+       (fun (k, ids) -> List.map Oid.to_int (Btree.find t (vi k)) = ids)
+       model
+
 let prop_model =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"btree agrees with model" ~count:150
        (QCheck2.Gen.pair (QCheck2.Gen.oneofl [ 4; 5; 8 ]) ops_gen)
-       (fun (order, ops) ->
-         let t = tree_of_ops order ops in
-         let model =
-           model_of_ops ops
-           |> List.map (fun (k, ids) -> (k, List.sort compare ids))
-           |> List.sort compare
-         in
-         tree_contents t = model))
+       model_matches)
 
 let prop_invariants =
   QCheck_alcotest.to_alcotest
@@ -195,6 +206,54 @@ let prop_range_is_filter =
          in
          ranged = scanned))
 
+let prop_dup_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"duplicate-heavy btree agrees with model"
+       ~count:150
+       (QCheck2.Gen.pair (QCheck2.Gen.oneofl [ 4; 5; 8 ]) dup_ops_gen)
+       model_matches)
+
+(* Invariants after every operation, not only at the end: a transient
+   break during a split or merge of one key's run must not hide. *)
+let prop_dup_invariants =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"duplicate-heavy btree invariants hold" ~count:150
+       (QCheck2.Gen.pair (QCheck2.Gen.oneofl [ 4; 5; 8 ]) dup_ops_gen)
+       (fun (order, ops) ->
+         let t = Btree.create ~order () in
+         List.for_all
+           (fun (ins, (k, id)) ->
+             if ins then Btree.insert t (vi k) (o id)
+             else Btree.remove t (vi k) (o id);
+             Btree.check_invariants t = Ok ())
+           ops))
+
+(* Both bound kinds on a key whose run crosses leaves. *)
+let prop_dup_range =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"duplicate-heavy range = filtered model" ~count:150
+       QCheck2.Gen.(
+         pair
+           (pair (oneofl [ 4; 5; 8 ]) dup_ops_gen)
+           (pair (pair (int_bound 3) bool) (pair (int_bound 3) bool)))
+       (fun ((order, ops), ((lo, lo_in), (hi, hi_in))) ->
+         let t = tree_of_ops order ops in
+         let ranged =
+           Btree.range t ~lo:(vi lo, lo_in) ~hi:(vi hi, hi_in) ()
+           |> List.map (fun (k, oids) ->
+                  (Value.to_int k, List.map Oid.to_int oids))
+         in
+         let keep k =
+           (if lo_in then k >= lo else k > lo)
+           && if hi_in then k <= hi else k < hi
+         in
+         ranged = List.filter (fun (k, _) -> keep k) (tree_contents t)
+         && ranged
+            = (model_of_ops ops
+              |> List.map (fun (k, ids) -> (k, List.sort compare ids))
+              |> List.sort compare
+              |> List.filter (fun (k, _) -> keep k))))
+
 let suite =
   [
     test "empty tree" test_empty;
@@ -207,4 +266,7 @@ let suite =
     prop_model;
     prop_invariants;
     prop_range_is_filter;
+    prop_dup_model;
+    prop_dup_invariants;
+    prop_dup_range;
   ]

@@ -144,6 +144,157 @@ let prop_index_matches_scan =
       let indexed = Query.select db "employee" p in
       List.map Oid.to_int scan = List.map Oid.to_int indexed)
 
+(* The life cycle of index postings at the Db level: keys held by one
+   object, by a few and by many (a posting crosses its compact and table
+   forms, a B+-tree key's run crosses leaves), under sets, deletes,
+   creates and committed and aborted transactions.  After every step each
+   held value's lookup, and a few ranges, equal an extent scan, and the
+   database verifies. *)
+let test_index_churn () =
+  let db = employee_db () in
+  let rng = Random.State.make [| 15 |] in
+  let fresh = ref 0 in
+  (* a third of the values are unique, a third one of 3 shared ones (tens
+     of holders each), and a third one of 12 (about 8 holders each, near
+     the size where a compact posting becomes a table) *)
+  let value () =
+    match Random.State.int rng 3 with
+    | 0 ->
+      incr fresh;
+      `Unique !fresh
+    | 1 -> `Shared (Random.State.int rng 3)
+    | _ -> `Shared (3 + Random.State.int rng 12)
+  in
+  let name_of = function
+    | `Unique k -> Value.Str (Printf.sprintf "u%d" k)
+    | `Shared k -> Value.Str (Printf.sprintf "s%d" k)
+  in
+  let salary_of = function
+    | `Unique k -> Value.Float (1000. +. float_of_int k)
+    | `Shared k -> Value.Float (float_of_int k)
+  in
+  let create () =
+    let cls = if Random.State.int rng 10 = 0 then "manager" else "employee" in
+    ignore
+      (Db.new_object db cls
+         ~attrs:
+           [ ("name", name_of (value ())); ("salary", salary_of (value ())) ])
+  in
+  for _ = 1 to 300 do
+    create ()
+  done;
+  Db.create_index db ~cls:"employee" ~attr:"name" ();
+  Db.create_index db ~kind:`Ordered ~cls:"employee" ~attr:"salary" ();
+  let pick () =
+    let live = Array.of_list (Db.extent db "employee") in
+    live.(Random.State.int rng (Array.length live))
+  in
+  let op () =
+    match Random.State.int rng 10 with
+    | 0 -> Db.delete_object db (pick ())
+    | 1 -> create ()
+    | _ ->
+      let o = pick () in
+      Db.set db o "salary" (salary_of (value ()));
+      Db.set db o "name" (name_of (value ()))
+  in
+  let check step =
+    let label what = Printf.sprintf "step %d: %s" step what in
+    let oids = Db.extent db "employee" in
+    let scan attr keep =
+      List.filter
+        (fun o ->
+          match Db.get_opt db o attr with Some v -> keep v | None -> false)
+        oids
+    in
+    List.iter
+      (fun attr ->
+        let held = Hashtbl.create 64 in
+        List.iter
+          (fun o ->
+            match Db.get_opt db o attr with
+            | Some v ->
+              Hashtbl.replace held v
+                (o :: Option.value ~default:[] (Hashtbl.find_opt held v))
+            | None -> ())
+          (List.rev oids);
+        Hashtbl.iter
+          (fun v expected ->
+            Alcotest.(check (list oid))
+              (label ("lookup " ^ Value.to_string v))
+              expected
+              (Db.index_lookup db ~cls:"employee" ~attr v))
+          held;
+        (* a shared value may have been vacated *)
+        List.iter
+          (fun k ->
+            let v =
+              if attr = "name" then name_of (`Shared k)
+              else salary_of (`Shared k)
+            in
+            Alcotest.(check (list oid))
+              (label ("shared " ^ Value.to_string v))
+              (scan attr (Value.equal v))
+              (Db.index_lookup db ~cls:"employee" ~attr v))
+          (List.init 15 Fun.id))
+      [ "name"; "salary" ];
+    List.iter
+      (fun (lo, hi) ->
+        let inside v =
+          (match lo with
+          | Some (b, true) -> Value.compare v b >= 0
+          | Some (b, false) -> Value.compare v b > 0
+          | None -> true)
+          &&
+          match hi with
+          | Some (b, true) -> Value.compare v b <= 0
+          | Some (b, false) -> Value.compare v b < 0
+          | None -> true
+        in
+        Alcotest.(check (list oid)) (label "range") (scan "salary" inside)
+          (Db.index_range db ~cls:"employee" ~attr:"salary" ?lo ?hi ()))
+      [
+        (None, None);
+        (Some (Value.Float 1., true), Some (Value.Float 1., true));
+        (Some (Value.Float 0., false), Some (Value.Float 1100., false));
+        (Some (Value.Float 2., true), None);
+      ];
+    match Oodb.Verify.check db with
+    | Ok () -> ()
+    | Error ps -> Alcotest.failf "%s" (label (String.concat "; " ps))
+  in
+  check 0;
+  (* one value gains 20 holders one at a time and loses them again, so its
+     posting passes through every form both ways; the second pass is
+     rolled back *)
+  let holders = Array.init 20 (fun _ -> pick ()) in
+  let funnel = `Shared 99 in
+  let step = ref 0 in
+  let move v o =
+    Db.set db o "salary" (salary_of v);
+    Db.set db o "name" (name_of v);
+    incr step;
+    check !step
+  in
+  Array.iter (move funnel) holders;
+  Array.iter (fun o -> move (value ()) o) holders;
+  Transaction.begin_ db;
+  Array.iter (move funnel) holders;
+  Transaction.abort db;
+  check 0;
+  for step = 1 to 200 do
+    (match Random.State.int rng 5 with
+    | 0 ->
+      Transaction.begin_ db;
+      for _ = 1 to 1 + Random.State.int rng 5 do
+        op ()
+      done;
+      if Random.State.bool rng then Transaction.commit db
+      else Transaction.abort db
+    | _ -> op ());
+    check step
+  done
+
 let suite =
   [
     test "index builds over existing objects" test_index_builds_over_existing;
@@ -156,4 +307,5 @@ let suite =
     test "ordered index" test_ordered_index;
     test "query uses ordered index" test_query_uses_ordered_index;
     QCheck_alcotest.to_alcotest prop_index_matches_scan;
+    test "index postings survive churn" test_index_churn;
   ]

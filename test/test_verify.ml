@@ -63,6 +63,21 @@ let test_detects_corruption () =
       (List.exists (contains_substring ~sub:"not indexed") ps)
   | Ok () -> Alcotest.fail "corruption not detected");
   ignore e;
+  (* the same for an ordered index: drop one (value, OID) pair from the
+     B+-tree, leaving the tree itself well formed *)
+  let dbo = employee_db () in
+  let eo = new_employee dbo ~salary:4. in
+  ignore (new_employee dbo ~salary:4.);
+  Db.create_index dbo ~kind:`Ordered ~cls:"employee" ~attr:"salary" ();
+  let ixo = Hashtbl.find dbo.Oodb.Types.indexes ("employee", "salary") in
+  (match ixo.Oodb.Types.ix_backing with
+  | Oodb.Types.Ix_ordered tree -> Oodb.Btree.remove tree (Value.Float 4.) eo
+  | Oodb.Types.Ix_hash _ -> assert false);
+  (match Verify.check dbo with
+  | Error ps ->
+    Alcotest.(check bool) "flags object missing from ordered index" true
+      (List.exists (contains_substring ~sub:"not indexed") ps)
+  | Ok () -> Alcotest.fail "ordered-index corruption not detected");
   (* smuggle an undeclared attribute in: point an employee at the layout of
      a subclass declaring one extra slot, with a slot array to match *)
   let db2 = employee_db () in
