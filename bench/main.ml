@@ -1080,6 +1080,56 @@ let e_recovery () =
         (g, cps, ms, fsyncs))
       [ 1; 8; 64 ]
   in
+  (* allocation: major-heap words allocated directly (not promoted) per
+     durable commit of 64 sets, on the real fs.  OCaml puts every block
+     above 256 words straight into the major heap, so short-lived ones on
+     the per-batch path grow the heap between collections.  The counters
+     are exact once synchronised, so this row is deterministic. *)
+  let alloc_sets = 64 and alloc_commits = 200 in
+  let direct_words_per_commit =
+    let path = Filename.temp_file "sentinel_bench" ".wal" in
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+      (fun () ->
+        let db = Db.create () in
+        Banking.install db;
+        let accts = Banking.populate db (Prng.create 5) ~accounts:alloc_sets in
+        let wal = Oodb.Wal.attach ~sync:true db path in
+        let commit c =
+          match
+            Transaction.atomically db (fun () ->
+                Array.iteri
+                  (fun i a ->
+                    Db.set db a "balance"
+                      (Value.Float (float_of_int ((c * alloc_sets) + i))))
+                  accts)
+          with
+          | Ok () -> ()
+          | Error e -> raise e
+        in
+        (* warm-up: reusable buffers reach their working size *)
+        for c = 1 to 8 do
+          commit c
+        done;
+        (* a full major cycle first brings the runtime's lazily merged
+           allocation counters up to date; without it the reading drifts
+           with whatever the heap did before this row *)
+        let direct () =
+          Gc.full_major ();
+          let s = Gc.quick_stat () in
+          s.Gc.major_words -. s.Gc.promoted_words
+        in
+        let d0 = direct () in
+        for c = 1 to alloc_commits do
+          commit c
+        done;
+        let d1 = direct () in
+        Oodb.Wal.detach wal;
+        (d1 -. d0) /. float_of_int alloc_commits)
+  in
+  row "  allocation: %d durable commits of %d sets   direct major \
+       words/commit %.1f\n"
+    alloc_commits alloc_sets direct_words_per_commit;
   (* compaction: recovery time against the same log before and after
      [Wal.compact] folds it into a base snapshot *)
   let snap_path = "bank.db" in
@@ -1156,8 +1206,11 @@ let e_recovery () =
     "{\n  \"experiment\": \"E-recovery\",\n  \"workload\": \"banking \
      deposits/withdrawals, one transaction per batch, 100 accounts\",\n\
     \  \"durability\": {\"transactions\": %d, \"fsync_per_commit_ms\": %.2f, \
-     \"fsyncs\": %d, \"buffered_ms\": %.2f},\n  \"group_commit\": [\n"
-    durability_n sync_ms sync_fsyncs nosync_ms;
+     \"fsyncs\": %d, \"buffered_ms\": %.2f},\n\
+    \  \"allocation\": {\"commits\": %d, \"sets_per_commit\": %d, \
+     \"direct_major_words_per_commit\": %.1f},\n  \"group_commit\": [\n"
+    durability_n sync_ms sync_fsyncs nosync_ms alloc_commits alloc_sets
+    direct_words_per_commit;
   List.iteri
     (fun i (g, cps, ms, fsyncs) ->
       Printf.fprintf oc
@@ -1225,7 +1278,18 @@ let e_recovery () =
     end
     else
       row
-        "  bench-smoke gate: 10%%-dirty delta <= 1/4 full snapshot bytes (ok)\n"
+        "  bench-smoke gate: 10%%-dirty delta <= 1/4 full snapshot bytes (ok)\n";
+    if direct_words_per_commit > 32. then begin
+      row
+        "  FAIL: %.1f direct major words per durable commit (bound 32): a \
+         per-batch block above 256 words is back on the WAL append path\n"
+        direct_words_per_commit;
+      exit 1
+    end
+    else
+      row
+        "  bench-smoke gate: <= 32 direct major words per durable commit \
+         (ok)\n";
   end
 
 (* ------------------------------------------------------------------------- *)

@@ -27,6 +27,7 @@ type sys_stats = {
   mutable retries : int;
   mutable traces_started : int;
   mutable spans_recorded : int;
+  mutable cross_shard_composites : int;
 }
 
 type t = {
@@ -183,6 +184,7 @@ let reset_stats t =
   s.retries <- 0;
   s.traces_started <- 0;
   s.spans_recorded <- 0;
+  s.cross_shard_composites <- 0;
   Db.reset_stats t.sys_db;
   match t.sys_route with
   | Some route -> Route.reset_counters route
@@ -631,6 +633,7 @@ let create ?(strategy = Scheduler.default) ?(cascade_limit = 64)
           retries = 0;
           traces_started = 0;
           spans_recorded = 0;
+          cross_shard_composites = 0;
         };
       sys_route =
         (match routing with
@@ -679,6 +682,27 @@ let build_runtime t ~oid ~name ~event ~context ~coupling ~priority ~enabled
 
 let fresh_rule_name t = Printf.sprintf "rule-%d" (Oid.Table.length t.rule_table + 1)
 
+(* Each shard of a pool runs its own detector, so a composite rule whose
+   leaves can be raised on another shard never sees those leaves there.
+   Until composites get a home shard, count every such registration: a rule
+   on shard k of an N-way pool (its own OID is k mod N) with two or more
+   leaves, one of them class-level or naming a source owned by another
+   shard.  Firing is unchanged. *)
+let count_cross_shard t oid event =
+  let n = t.sys_db.Oodb.Types.oid_stride in
+  if n > 1 then
+    match Expr.prims event with
+    | _ :: _ :: _ as leaves ->
+      let k = Oid.to_int oid mod n in
+      let elsewhere p =
+        Oid.Set.is_empty p.Expr.p_sources
+        || Oid.Set.exists (fun o -> Oid.to_int o mod n <> k) p.Expr.p_sources
+      in
+      if List.exists elsewhere leaves then
+        t.sys_stats.cross_shard_composites <-
+          t.sys_stats.cross_shard_composites + 1
+    | _ -> ()
+
 let create_rule_common t ?name ?(coupling = Coupling.Immediate)
     ?(context = Context.Recent) ?(priority = 0) ?(enabled = true)
     ?(policy = Error_policy.Propagate) ?(max_retries = 0) ?(monitor = [])
@@ -714,6 +738,7 @@ let create_rule_common t ?name ?(coupling = Coupling.Immediate)
   ignore
     (build_runtime t ~oid ~name ~event ~context ~coupling ~priority ~enabled
        ~policy ~max_retries ~condition_name:condition ~action_name:action);
+  count_cross_shard t oid event;
   List.iter (fun target -> Db.subscribe t.sys_db ~reactive:target ~consumer:oid) monitor;
   List.iter (fun cls -> Db.subscribe_class t.sys_db ~cls ~consumer:oid) monitor_classes;
   oid
@@ -941,7 +966,7 @@ let ingest t batch =
     else begin
       let n = List.length batch in
       let t0 = Obs.Metrics.enter st_ingest in
-      let tok = Obs.Trace.enter "ingest" (Printf.sprintf "batch:%d" n) in
+      let tok = Obs.Trace.enter "ingest" (Obs.Trace.batch_label n) in
       Obs.Metrics.observe_ns st_ingest_batch_size (float_of_int n);
       Obs.Metrics.add st_ingest_events n;
       let r = Transaction.atomically t.sys_db run in

@@ -87,6 +87,13 @@ type sys_stats = {
           (process-wide; 0 while tracing is disabled) *)
   mutable spans_recorded : int;
       (** observability: spans pushed to the trace ring (process-wide) *)
+  mutable cross_shard_composites : int;
+      (** rules registered on shard [k] of an [N > 1]-way
+          {!Shard_pool} whose event has two or more leaves, at least one
+          class-level or naming a source OID with [oid mod N <> k].  Each
+          shard detects only its own leaves, so such a composite can miss
+          occurrences raised on another shard; this counts the exposure,
+          it does not change firing. *)
 }
 
 val create :

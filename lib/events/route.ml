@@ -421,7 +421,7 @@ let deliver_many t batch =
           let t0 = Obs.Metrics.enter st_route in
           let tok =
             Obs.Trace.enter "route"
-              (Printf.sprintf "batch:%d" (List.length batch))
+              (Obs.Trace.batch_label (List.length batch))
           in
           match List.iter (fun (o, occ) -> deliver_raw t o occ) batch with
           | () ->

@@ -83,10 +83,13 @@ let put_list buf put items =
   put_u32 buf (List.length items);
   List.iter (put buf) items
 
-type cursor = { data : string; mutable pos : int }
+(* A cursor reads [data] from [pos] up to [lim], the end of the frame's
+   payload; [data] may be longer (a reader's reusable buffer), so every
+   bound is checked against [lim], never against [String.length data]. *)
+type cursor = { data : string; mutable pos : int; lim : int }
 
 let need cur n =
-  if cur.pos + n > String.length cur.data then
+  if cur.pos + n > cur.lim then
     frame_error "payload truncated at byte %d (need %d more)" cur.pos n
 
 let get_u32 cur =
@@ -116,7 +119,7 @@ let get_str cur =
 let get_list cur get =
   let n = get_u32 cur in
   (* cheap bomb guard: every element costs at least one length byte *)
-  if n > String.length cur.data - cur.pos then
+  if n > cur.lim - cur.pos then
     frame_error "list count %d exceeds remaining payload" n;
   List.init n (fun _ -> get cur)
 
@@ -224,8 +227,6 @@ let decode_payload tag_v cur =
 
 (* --- framing --------------------------------------------------------------- *)
 
-let crc32 s = Int32.to_int (Oodb.Storage.Crc32.string s) land 0xFFFF_FFFF
-
 let encode ?(version = version) msg =
   let payload = Buffer.create 64 in
   encode_payload payload msg;
@@ -240,7 +241,7 @@ let encode ?(version = version) msg =
   Buffer.add_char buf '\000';
   Buffer.add_char buf '\000';
   put_u32 buf (String.length payload);
-  put_u32 buf (crc32 payload);
+  put_u32 buf (Oodb.Storage.Crc32.string payload);
   Buffer.add_string buf payload;
   Buffer.contents buf
 
@@ -259,13 +260,14 @@ let parse_header h =
   if v <> version then raise (Version_mismatch v);
   (v, tag_v, len, crc)
 
-let decode_body tag_v payload crc =
-  if crc32 payload <> crc then frame_error "CRC mismatch";
-  let cur = { data = payload; pos = 0 } in
+(* Decode the [len]-byte payload at [pos] in [data]; the one decode path
+   behind {!decode}, {!read} and {!read_fd}. *)
+let decode_payload_at tag_v data pos len crc =
+  if Oodb.Storage.Crc32.sub data pos len <> crc then frame_error "CRC mismatch";
+  let cur = { data; pos; lim = pos + len } in
   let msg = decode_payload tag_v cur in
-  if cur.pos <> String.length payload then
-    frame_error "trailing payload bytes (%d unread)"
-      (String.length payload - cur.pos);
+  if cur.pos <> cur.lim then
+    frame_error "trailing payload bytes (%d unread)" (cur.lim - cur.pos);
   msg
 
 let decode s =
@@ -273,7 +275,7 @@ let decode s =
   if String.length s <> header_len + len then
     frame_error "frame length %d, header promises %d" (String.length s)
       (header_len + len);
-  decode_body tag_v (String.sub s header_len len) crc
+  decode_payload_at tag_v s header_len len crc
 
 (* --- blocking stream I/O --------------------------------------------------- *)
 
@@ -291,19 +293,46 @@ let write_fd fd ?version msg =
   write_all fd (Bytes.unsafe_of_string s) 0 (String.length s);
   String.length s
 
-(* Read exactly [len] bytes; End_of_file on a peer close. *)
-let read_exact fd len =
-  let b = Bytes.create len in
+(* Fill [b.[0 .. len-1]] from the socket; End_of_file on a peer close. *)
+let read_exact fd b len =
   let pos = ref 0 in
   while !pos < len do
     let n = retry_eintr (fun () -> Unix.read fd b !pos (len - !pos)) in
     if n = 0 then raise End_of_file;
     pos := !pos + n
-  done;
-  Bytes.unsafe_to_string b
+  done
 
-let read_fd fd =
-  let header = read_exact fd header_len in
-  let _, tag_v, len, crc = parse_header header in
-  let payload = if len = 0 then "" else read_exact fd len in
-  (decode_body tag_v payload crc, header_len + len)
+type reader = {
+  r_fd : Unix.file_descr;
+  r_header : Bytes.t;
+  mutable r_payload : Bytes.t;  (* reused while payloads fit in it *)
+}
+
+(* Payload buffers up to this size are kept for the next frame; a larger
+   payload gets a buffer of its own, so one outsized frame does not pin its
+   size for the life of the connection. *)
+let reader_keep_max = 1 lsl 20
+
+let reader fd =
+  { r_fd = fd; r_header = Bytes.create header_len; r_payload = Bytes.empty }
+
+let payload_buffer r len =
+  let have = Bytes.length r.r_payload in
+  if len <= have then r.r_payload
+  else if len > reader_keep_max then Bytes.create len
+  else begin
+    r.r_payload <- Bytes.create (min reader_keep_max (max len (2 * have)));
+    r.r_payload
+  end
+
+(* The buffers are only ever read through the cursor, which copies out
+   every string it returns, so viewing them as strings is safe. *)
+let read r =
+  read_exact r.r_fd r.r_header header_len;
+  let _, tag_v, len, crc = parse_header (Bytes.unsafe_to_string r.r_header) in
+  let payload = payload_buffer r len in
+  read_exact r.r_fd payload len;
+  (decode_payload_at tag_v (Bytes.unsafe_to_string payload) 0 len crc,
+   header_len + len)
+
+let read_fd fd = read (reader fd)

@@ -117,7 +117,22 @@ val decode : string -> t
 val write_fd : Unix.file_descr -> ?version:int -> t -> int
 (** Write one frame; returns the bytes written. *)
 
-val read_fd : Unix.file_descr -> t * int
+type reader
+(** A frame reader over one connected socket.  It owns a header buffer and
+    a payload buffer that it reuses from frame to frame, so a connection
+    streaming [Send_many] frames of a few KiB allocates no block per frame
+    beyond the decoded message.  Payload buffers up to 1 MiB are kept;
+    longer payloads get a buffer of their own.  Decoding checks
+    truncation, trailing bytes and list counts against the frame's own
+    length, never against the buffer's size. *)
+
+val reader : Unix.file_descr -> reader
+
+val read : reader -> t * int
 (** Read one frame; returns it with the bytes consumed.
     @raise End_of_file when the peer closed between frames (or mid-frame)
     @raise Frame_error / Version_mismatch as {!decode} *)
+
+val read_fd : Unix.file_descr -> t * int
+(** [read (reader fd)]: one frame through a fresh reader, for callers that
+    read only a few frames. *)

@@ -70,8 +70,9 @@ let receiver_loop t fd =
     | None -> ()  (* raced an unsubscribe; drop *)
     | Some cb -> cb (List.map Events.Codec.decode_instance instances)
   in
+  let r = Frame.reader fd in
   let rec loop () =
-    match Frame.read_fd fd with
+    match Frame.read r with
     | exception _ -> ()
     | Frame.Notify { sub_id; instances }, _ ->
       dispatch_notify sub_id instances;

@@ -29,6 +29,7 @@ type stats = {
   notifications_shed : int;
   notifications_parked : int;
   errors_sent : int;
+  cross_shard_composites : int;
 }
 
 (* A subscription: its wire id and the per-shard rule OIDs its registration
@@ -38,6 +39,7 @@ type sub = { sub_id : int; sub_rules : Oodb.Oid.t list }
 type conn = {
   c_id : int;
   c_fd : Unix.file_descr;
+  c_in : Frame.reader;  (* read only by the connection's reader thread *)
   c_mu : Mutex.t;
   c_cond : Condition.t;  (* work available / space freed / shutdown *)
   c_control : Frame.t Queue.t;  (* unbounded: replies and errors *)
@@ -117,6 +119,16 @@ let stats t =
         acc + n)
       0 conns
   in
+  (* summed over the shards' engines; a shard that cannot answer counts 0 *)
+  let cross_shard =
+    match
+      with_engine t (fun () ->
+          Shard_pool.each t.s_pool (fun _ sys ->
+              (System.stats sys).System.cross_shard_composites))
+    with
+    | Ok per_shard -> List.fold_left ( + ) 0 per_shard
+    | Error _ -> 0
+  in
   {
     connections_accepted = accepted;
     connections_active = List.length conns;
@@ -132,6 +144,7 @@ let stats t =
     notifications_shed = Atomic.get t.s_shed;
     notifications_parked = parked;
     errors_sent = Atomic.get t.s_errors;
+    cross_shard_composites = cross_shard;
   }
 
 let render_stats t =
@@ -152,6 +165,7 @@ let render_stats t =
       Printf.sprintf "notifications_shed %d" s.notifications_shed;
       Printf.sprintf "notifications_parked %d" s.notifications_parked;
       Printf.sprintf "errors_sent %d" s.errors_sent;
+      Printf.sprintf "cross_shard_composites %d" s.cross_shard_composites;
     ]
 
 (* --- outgoing queues ------------------------------------------------------- *)
@@ -543,7 +557,7 @@ let cleanup t conn =
 
 let reader_loop t conn =
   let rec loop () =
-    match Frame.read_fd conn.c_fd with
+    match Frame.read conn.c_in with
     | exception End_of_file -> ()
     | exception Frame.Version_mismatch v ->
       (* reply before closing so the client can tell this from a drop *)
@@ -586,6 +600,7 @@ let spawn_conn t fd =
       {
         c_id = id;
         c_fd = fd;
+        c_in = Frame.reader fd;
         c_mu = Mutex.create ();
         c_cond = Condition.create ();
         c_control = Queue.create ();

@@ -68,6 +68,8 @@ type stats = {
   notifications_shed : int;  (** dropped by policy (incl. ring eviction) *)
   notifications_parked : int;  (** gauge: waiting in dead-letter rings *)
   errors_sent : int;
+  cross_shard_composites : int;
+      (** summed over shards: see {!Sentinel.System.sys_stats} *)
 }
 
 val create :

@@ -117,6 +117,14 @@ let enter tk_name tk_label =
       }
   end
 
+(* Span labels are kept by reference, and strings are immutable, so one
+   preallocated label per small batch size can be shared by every span. *)
+let batch_labels = Array.init 257 (fun n -> "batch:" ^ string_of_int n)
+
+let batch_label n =
+  if n >= 0 && n < Array.length batch_labels then batch_labels.(n)
+  else "batch:" ^ string_of_int n
+
 let exit = function
   | No_span -> ()
   | Span s ->

@@ -52,6 +52,12 @@ val exit : token -> unit
 (** Close the span and record it.  Call sites are responsible for calling
     this on exception paths too (re-raise after). *)
 
+val batch_label : int -> string
+(** [batch_label n] is ["batch:<n>"], the label of a span that covers a
+    batch of [n] items.  For [0 <= n <= 256] it is a preallocated string
+    (two calls return the physically equal string), so a batch span
+    formats nothing. *)
+
 val instant : string -> string -> unit
 (** Record a zero-duration marker in the current trace (e.g. a contained
     failure, a deferred enqueue). *)

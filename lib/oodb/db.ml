@@ -542,7 +542,7 @@ let send_many db batch =
       let t0 = Obs.Metrics.enter st_send_many in
       let tok =
         Obs.Trace.enter "send_many"
-          (Printf.sprintf "batch:%d" (List.length batch))
+          (Obs.Trace.batch_label (List.length batch))
       in
       let finish () =
         Obs.Trace.exit tok;

@@ -1,5 +1,6 @@
 type writer = {
   write : string -> unit;
+  write_buffer : Buffer.t -> unit;
   flush : unit -> unit;
   fsync : unit -> unit;
   close : unit -> unit;
@@ -37,32 +38,27 @@ let with_retries ?(attempts = 5) ?(backoff = default_backoff) f =
 (* --- CRC-32 --------------------------------------------------------------- *)
 
 module Crc32 = struct
+  (* Native ints throughout: a CRC fits in 32 bits, so nothing is boxed. *)
   let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             c :=
-               if Int32.logand !c 1l <> 0l then
-                 Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-               else Int32.shift_right_logical !c 1
-           done;
-           !c))
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
 
-  let string ?(crc = 0l) s =
-    let t = Lazy.force table in
-    let c = ref (Int32.lognot crc) in
-    String.iter
-      (fun ch ->
-        let i =
-          Int32.to_int
-            (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-        in
-        c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
-      s;
-    Int32.lognot !c
+  let sub ?(crc = 0) s pos len =
+    if pos < 0 || len < 0 || pos > String.length s - len then
+      invalid_arg "Storage.Crc32.sub";
+    let c = ref (crc lxor 0xFFFF_FFFF) in
+    for i = pos to pos + len - 1 do
+      let byte = Char.code (String.unsafe_get s i) in
+      c := Array.unsafe_get table ((!c lxor byte) land 0xFF) lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFF_FFFF
 
-  let to_hex c = Printf.sprintf "%08lx" c
+  let string ?crc s = sub ?crc s 0 (String.length s)
+  let to_hex c = Printf.sprintf "%08x" c
 end
 
 (* --- the real filesystem -------------------------------------------------- *)
@@ -91,6 +87,7 @@ let unix =
         let oc = open_out_gen flags 0o644 path in
         {
           write = (fun s -> output_string oc s);
+          write_buffer = (fun b -> Buffer.output_buffer oc b);
           flush = (fun () -> flush oc);
           fsync = (fun () -> unix_fsync_oc oc);
           close = (fun () -> close_out_noerr oc);
@@ -252,6 +249,7 @@ module Mem = struct
           end;
           {
             write = (fun s -> write fs f s);
+            write_buffer = (fun b -> write fs f (Buffer.contents b));
             flush = (fun () -> ());
             fsync =
               (fun () ->

@@ -19,6 +19,12 @@ type writer = {
   write : string -> unit;
       (** Append the bytes.  May raise {!Errors.Io_error} (transient, fully
           retryable: a failed write lands nothing) or {!Crash}. *)
+  write_buffer : Buffer.t -> unit;
+      (** Append the buffer's contents under the same contract as [write]:
+          one call lands all of the bytes or, on {!Errors.Io_error}, none
+          of them, so a caller may retry it whole.  The buffer is only
+          read, never kept, so a caller can reuse it for the next write
+          without copying it into a fresh string first. *)
   flush : unit -> unit;  (** Push application buffers to the OS. *)
   fsync : unit -> unit;  (** Flush, then force the bytes to stable storage. *)
   close : unit -> unit;  (** Idempotent; never raises. *)
@@ -55,14 +61,20 @@ val with_retries : ?attempts:int -> ?backoff:(int -> unit) -> (unit -> 'a) -> 'a
     sleep starting at 2 ms).  Other exceptions — including {!Crash} —
     propagate immediately. *)
 
-(** CRC-32 (IEEE 802.3, the zlib polynomial) over strings; guards WAL v2
-    batch payloads against torn writes and bit rot. *)
+(** CRC-32 (IEEE 802.3, the zlib polynomial); guards WAL batches and wire
+    frames against torn writes and bit rot.  Checksums are native ints in
+    [\[0, 2{^32})], so computing one allocates nothing. *)
 module Crc32 : sig
-  val string : ?crc:int32 -> string -> int32
-  (** [string s] is the checksum of [s]; pass [?crc] to continue a running
-      checksum. *)
+  val sub : ?crc:int -> string -> int -> int -> int
+  (** [sub s pos len] is the checksum of [len] bytes of [s] from [pos];
+      pass [?crc] to continue a running checksum, so the checksum of a
+      concatenation can be built piece by piece.
+      @raise Invalid_argument when the range is outside [s]. *)
 
-  val to_hex : int32 -> string
+  val string : ?crc:int -> string -> int
+  (** [string s] is [sub s 0 (String.length s)]. *)
+
+  val to_hex : int -> string
   (** Fixed-width lowercase hex, e.g. ["0a1b2c3d"]. *)
 end
 

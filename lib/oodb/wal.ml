@@ -18,6 +18,7 @@ type t = {
   sync : bool;
   group : group_commit option;
   mutable w : Storage.writer;
+  frame : Buffer.t; (* the batch being written; reused across batches *)
   (* sequence number the next batch will carry; monotone across the life of
      the log, never reset by checkpoints *)
   mutable next_seq : int;
@@ -157,12 +158,10 @@ let scan data =
             | Some (lines, q) -> (
               match next_line q with
               | Some ("E", q') ->
-                let body =
-                  String.concat "" (List.map (fun l -> l ^ "\n") lines)
-                in
+                (* the payload lines are the bytes from [p] up to [q] *)
                 if
                   String.equal crc_s
-                    (Storage.Crc32.to_hex (Storage.Crc32.string body))
+                    (Storage.Crc32.to_hex (Storage.Crc32.sub data p (q - p)))
                 then
                   batches
                     ({ b_seq = seq; b_lines = lines; b_end = q' } :: acc)
@@ -232,32 +231,47 @@ let fsync_writer t =
       raise e
   end
 
+let frame_keep_max = 1 lsl 20
+
+(* A batch's frame — "B seq count crc", one line per entry, "E" — is built
+   in the journal's own buffer and goes down in one write.  The CRC streams
+   over the entries before the frame is built, so the body is never
+   assembled on its own; the buffer is cleared, not freed, between batches.
+   Together that keeps the durable ingest path free of per-batch blocks
+   large enough to be allocated straight into the major heap. *)
 let write_batch_raw t entries =
   if t.attached then begin
     (* entries arrive newest first *)
-    let payload = Buffer.create 256 in
-    let n = ref 0 in
+    let entries = List.rev entries in
+    let crc =
+      List.fold_left
+        (fun crc e ->
+          Storage.Crc32.string ~crc:(Storage.Crc32.string ~crc e) "\n")
+        0 entries
+    in
+    let n = List.length entries in
+    let b = t.frame in
+    Buffer.clear b;
+    Printf.bprintf b "B %d %d %s\n" t.next_seq n (Storage.Crc32.to_hex crc);
     List.iter
       (fun e ->
-        Buffer.add_string payload e;
-        Buffer.add_char payload '\n';
-        incr n)
-      (List.rev entries);
-    let body = Buffer.contents payload in
-    let data =
-      Printf.sprintf "B %d %d %s\n%sE\n" t.next_seq !n
-        (Storage.Crc32.to_hex (Storage.Crc32.string body))
-        body
-    in
+        Buffer.add_string b e;
+        Buffer.add_char b '\n')
+      entries;
+    Buffer.add_string b "E\n";
+    let bytes = Buffer.length b in
     (* one write per batch: a transient fault lands nothing, so the bounded
        retry cannot duplicate a partially-written batch *)
-    Storage.with_retries (fun () -> t.w.Storage.write data);
+    Storage.with_retries (fun () -> t.w.Storage.write_buffer b);
+    (* an outsized batch (a bulk load in one transaction) does not pin its
+       buffer for the life of the journal *)
+    if bytes > frame_keep_max then Buffer.reset b;
     t.w.Storage.flush ();
     if t.sync then fsync_writer t;
     (* counters and the sequence move only once the batch is safely down *)
     t.n_batches <- t.n_batches + 1;
-    t.n_entries <- t.n_entries + !n;
-    t.wal_db.stats.wal_bytes <- t.wal_db.stats.wal_bytes + String.length data;
+    t.n_entries <- t.n_entries + n;
+    t.wal_db.stats.wal_bytes <- t.wal_db.stats.wal_bytes + bytes;
     t.wal_db.wal_applied_seq <- t.next_seq;
     t.next_seq <- t.next_seq + 1
   end
@@ -414,6 +428,7 @@ let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
       sync;
       group = group_commit;
       w;
+      frame = Buffer.create 4096;
       next_seq;
       stack = [];
       g_entries = [];

@@ -104,6 +104,137 @@ let test_event_codec_roundtrip =
          let ev = (Oid.of_int o, m, ps) in
          Events.Codec.decode_event (Events.Codec.encode_event ev) = ev))
 
+(* --- the reusable frame reader ---------------------------------------------- *)
+
+(* A frame with a well-formed header and a correct CRC around an arbitrary
+   payload, for payloads [Frame.encode] would never produce. *)
+let raw_frame tag payload =
+  let b = Buffer.create (16 + String.length payload) in
+  Buffer.add_string b "SNTL";
+  Buffer.add_char b (Char.chr Frame.version);
+  Buffer.add_char b (Char.chr tag);
+  Buffer.add_string b "\000\000";
+  Buffer.add_int32_be b (Int32.of_int (String.length payload));
+  Buffer.add_int32_be b (Int32.of_int (Oodb.Storage.Crc32.string payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let rec send_all fd s pos =
+  if pos < String.length s then
+    send_all fd s (pos + Unix.write_substring fd s pos (String.length s - pos))
+
+(* Write [frames] from a second thread into one end of a socketpair and
+   hand a reader over the other end to [f]. *)
+let with_frame_stream frames f =
+  let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rd;
+      Unix.close wr)
+    (fun () ->
+      let writer =
+        Thread.create (fun () -> List.iter (fun s -> send_all wr s 0) frames) ()
+      in
+      Fun.protect ~finally:(fun () -> Thread.join writer) (fun () ->
+          f (Frame.reader rd)))
+
+let outcome f =
+  match f () with
+  | msg -> Ok msg
+  | exception Frame.Frame_error _ -> Error "frame error"
+  | exception Frame.Version_mismatch v -> Error (Printf.sprintf "version %d" v)
+
+(* After a frame over 4 KiB the reader's buffer is larger than any later
+   frame; trailing bytes and list counts must still be judged against each
+   frame's own length. *)
+let test_reader_reuse () =
+  let big =
+    Frame.Send_many
+      {
+        trace = 7;
+        events = List.init 64 (fun i -> String.make 80 (Char.chr (97 + (i mod 26))));
+      }
+  in
+  let big_s = Frame.encode big in
+  Alcotest.(check bool) "first frame over 4 KiB" true (String.length big_s > 4096);
+  let ack = Frame.Ack { count = 64 } in
+  let ack_s = Frame.encode ack in
+  let trailing =
+    raw_frame (Frame.tag ack) (String.sub ack_s 16 4 ^ "xy")
+  in
+  (* trace 1, then a count of 64 strings and no strings: the stale bytes of
+     the first frame, still in the buffer, would decode as exactly those *)
+  let bomb = raw_frame (Frame.tag big) "\000\000\000\000\000\000\000\001\000\000\000\064" in
+  with_frame_stream [ big_s; ack_s; trailing; bomb; ack_s ] (fun r ->
+      let msg, n = Frame.read r in
+      Alcotest.(check bool) "large Send_many decoded" true (msg = big);
+      Alcotest.(check int) "its bytes" (String.length big_s) n;
+      let msg, n = Frame.read r in
+      Alcotest.(check bool) "short Ack decoded" true (msg = ack);
+      Alcotest.(check int) "its bytes" (String.length ack_s) n;
+      Alcotest.(check bool) "trailing bytes rejected" true
+        (outcome (fun () -> Frame.read r) = Error "frame error");
+      (* by the count guard, before any stale byte is read as a string *)
+      (match Frame.read r with
+      | _ -> Alcotest.fail "list count beyond the frame accepted"
+      | exception Frame.Frame_error m ->
+        Alcotest.(check bool) ("rejected by the count guard: " ^ m) true
+          (String.starts_with ~prefix:"list count" m));
+      Alcotest.(check bool) "the stream stays aligned" true
+        (fst (Frame.read r) = ack))
+
+(* Random sequences of frames — well formed, bit-flipped in the payload, or
+   carrying trailing bytes, with large frames mixed in so the buffer grows
+   and later frames are shorter than it — read back through one reader
+   exactly as [Frame.decode] reads each frame on its own. *)
+let prop_reader_agrees_with_decode =
+  let open QCheck2.Gen in
+  let big =
+    map
+      (fun evs -> Frame.Send_many { trace = 1; events = evs })
+      (list_size (int_range 20 60) (string_size ~gen:printable (int_range 60 120)))
+  in
+  let damage =
+    oneof
+      [
+        return `None;
+        map2 (fun p b -> `Flip (p, b)) (int_bound 10_000) (int_bound 7);
+        map (fun s -> `Trailing s) (string_size ~gen:printable (int_range 1 8));
+      ]
+  in
+  let frame (msg, d) =
+    let s = Frame.encode msg in
+    let payload = String.sub s 16 (String.length s - 16) in
+    match d with
+    | `None -> s
+    | `Flip (p, bit) when payload <> "" ->
+      let b = Bytes.of_string s in
+      let p = 16 + (p mod String.length payload) in
+      Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 lsl bit)));
+      Bytes.to_string b
+    | `Flip _ -> s
+    | `Trailing extra -> raw_frame (Frame.tag msg) (payload ^ extra)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"frame reader agrees with decode" ~count:100
+       (list_size (int_range 1 12)
+          (pair (frequency [ (4, gen_frame); (1, big) ]) damage))
+       (fun items ->
+         let frames = List.map frame items in
+         with_frame_stream frames (fun r ->
+             List.for_all
+               (fun s ->
+                 let via_reader =
+                   outcome (fun () ->
+                       let msg, n = Frame.read r in
+                       if n <> String.length s then
+                         Alcotest.failf "read %d bytes of a %d-byte frame" n
+                           (String.length s);
+                       msg)
+                 in
+                 via_reader = outcome (fun () -> Frame.decode s))
+               frames)))
+
 (* --- server fixtures ------------------------------------------------------- *)
 
 (* A pool whose every shard carries the employee schema, a counting rule on
@@ -504,12 +635,85 @@ let test_reconnect_resubscribes () =
               Alcotest.(check bool) "reconnect counted" true
                 (s.Client.reconnects >= 1))))
 
+(* Each shard runs its own detector, so a composite whose leaves can be
+   raised on another shard is counted when it is registered: the §2.1
+   Purchase rule with its stock and index on different shards counts once
+   per shard copy at shards=2; single-leaf rules never count, nor does
+   anything at shards=1.  The count reaches the wire's Stats text. *)
+let test_cross_shard_composites_counted () =
+  let run shards =
+    let pool =
+      Shard_pool.create ~shards
+        ~init:(fun _ _ ->
+          let db = Db.create () in
+          Workloads.Stock_market.install db;
+          let sys = System.create db in
+          System.register_action sys "noop" (fun _ _ -> ());
+          sys)
+        ()
+    in
+    let server = Server.create ~pool () in
+    Fun.protect
+      ~finally:(fun () ->
+        Server.stop server;
+        Shard_pool.stop pool)
+      (fun () ->
+        let ok = function Ok v -> v | Error e -> raise e in
+        let make shard cls =
+          ok (Shard_pool.run_on pool shard (fun sys -> Db.new_object (System.db sys) cls))
+        in
+        let ibm = make 0 "stock" and dow = make (shards - 1) "financial_info" in
+        let rule event sys =
+          ignore (System.create_rule sys ~event ~condition:"true" ~action:"noop" ())
+        in
+        let on_every event = ignore (ok (Shard_pool.each pool (fun _ -> rule event))) in
+        let counted () =
+          ok
+            (Shard_pool.each pool (fun _ sys ->
+                 (System.stats sys).System.cross_shard_composites))
+          |> List.fold_left ( + ) 0
+        in
+        on_every (Expr.eom ~cls:"stock" ~sources:[ ibm ] "set_price");
+        on_every (Expr.eom ~cls:"stock" "set_price");
+        let single = counted () in
+        (* both leaves on shard 0, registered there: nothing to miss *)
+        let ibm2 = make 0 "stock" in
+        ok
+          (Shard_pool.run_on pool 0
+             (rule
+                (Expr.conj
+                   (Expr.eom ~cls:"stock" ~sources:[ ibm ] "set_price")
+                   (Expr.eom ~cls:"stock" ~sources:[ ibm2 ] "set_price"))));
+        let local = counted () in
+        on_every
+          (Expr.conj
+             (Expr.eom ~cls:"stock" ~sources:[ ibm ] "set_price")
+             (Expr.eom ~cls:"financial_info" ~sources:[ dow ] "set_value"));
+        let purchase = counted () in
+        let text =
+          with_client server (fun client -> Client.server_stats client)
+        in
+        (single, local, purchase, (Server.stats server).Server.cross_shard_composites, text))
+  in
+  let single, local, purchase, server_count, text = run 2 in
+  Alcotest.(check int) "single-leaf rules do not count" 0 single;
+  Alcotest.(check int) "a shard-local composite does not count" 0 local;
+  Alcotest.(check int) "Purchase counts on both shards" 2 purchase;
+  Alcotest.(check int) "server stats sum the shards" 2 server_count;
+  Alcotest.(check bool) "Stats text carries the line" true
+    (List.mem "cross_shard_composites 2" (String.split_on_char '\n' text));
+  let single, local, purchase, _, _ = run 1 in
+  Alcotest.(check (list int)) "shards=1 never counts" [ 0; 0; 0 ]
+    [ single; local; purchase ]
+
 let suite =
   [
     test_frame_roundtrip;
     test_truncated_rejected;
     test_bitflip_rejected;
     test_event_codec_roundtrip;
+    test "frame reader reuses its buffer safely" test_reader_reuse;
+    prop_reader_agrees_with_decode;
     test "handshake and ping" test_handshake_and_ping;
     test "version mismatch gets a typed reply" test_version_mismatch;
     test "in-payload version mismatch rejected" test_client_version_exception;
@@ -521,4 +725,5 @@ let suite =
       test_slow_consumer_shed_accounting;
     test "connection refused is bounded" test_connect_refused_bounded;
     test "reconnect re-registers subscriptions" test_reconnect_resubscribes;
+    test "cross-shard composites counted" test_cross_shard_composites_counted;
   ]

@@ -395,6 +395,16 @@ let test_differential_firing () =
         off on)
     [ "market"; "payroll"; "hospital"; "banking" ]
 
+(* Batch spans share preallocated labels: same text as before, no
+   formatting per batch. *)
+let test_batch_label_shared () =
+  Alcotest.(check string) "text" "batch:64" (Trace.batch_label 64);
+  Alcotest.(check bool) "small n: one shared string" true
+    (Trace.batch_label 64 == Trace.batch_label 64);
+  Alcotest.(check string) "edge of the table" "batch:256" (Trace.batch_label 256);
+  Alcotest.(check string) "beyond the table" "batch:100000"
+    (Trace.batch_label 100_000)
+
 let suite =
   [
     test "ring wraparound" test_ring_wraparound;
@@ -410,4 +420,5 @@ let suite =
     test "10k contained failures stay bounded" test_failure_bounds;
     bounds_prop;
     test "firing counts unchanged by observability" test_differential_firing;
+    test "batch labels are shared strings" test_batch_label_shared;
   ]

@@ -704,6 +704,139 @@ let test_system_durability_wrappers () =
   Alcotest.(check bool) "base loaded" true r.Wal.r_snapshot_loaded;
   Alcotest.(check bool) "states equal" true (snapshot db = snapshot db2)
 
+(* --- batch framing: CRC and exact bytes ----------------------------------- *)
+
+let test_crc_known_answer () =
+  Alcotest.(check string) "CRC-32 check value" "cbf43926"
+    (Storage.Crc32.to_hex (Storage.Crc32.string "123456789"));
+  Alcotest.(check int) "empty string" 0 (Storage.Crc32.string "")
+
+(* Bit at a time, straight from the polynomial: the reference the table
+   driven CRC must agree with. *)
+let reference_crc s pos len =
+  let c = ref 0xFFFF_FFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFF_FFFF
+
+let prop_crc_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"crc32 agrees with a bitwise reference" ~count:300
+       QCheck2.Gen.(
+         triple (string_size (int_bound 300)) (int_bound 1000) (int_bound 1000))
+       (fun (s, a, b) ->
+         let n = String.length s in
+         let pos = if n = 0 then 0 else a mod (n + 1) in
+         let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+         let whole = Storage.Crc32.string s in
+         (* a running checksum continued over the rest equals the whole *)
+         let split = Storage.Crc32.sub s 0 pos in
+         Storage.Crc32.sub s pos len = reference_crc s pos len
+         && whole = reference_crc s 0 n
+         && Storage.Crc32.sub ~crc:split s pos (n - pos) = whole))
+
+(* The exact bytes of a log: autocommits, a nested transaction (an inner
+   commit and an inner abort) and a 3-commit group.  The literal, CRCs
+   included, is what the format has always produced, so any change to the
+   framing shows up here. *)
+let golden_log =
+  "SENTINELWAL 2\n\
+   B 1 1 154f3ad0\n\
+   c 1 employee age=i:30 income=f:0x0p+0 mgr=n name=s:ann salary=f:0x1.4p+2\n\
+   E\n\
+   B 2 1 9b6a9fcc\n\
+   s 1 salary f:0x1.ap+2\n\
+   E\n\
+   B 3 3 0b015c8e\n\
+   s 1 salary f:0x1.cp+2\n\
+   c 2 employee age=i:30 income=f:0x0p+0 mgr=n name=s:bob salary=f:0x1p+0\n\
+   k 0\n\
+   E\n\
+   B 4 3 a362aef3\n\
+   s 1 salary f:0x1p+3\n\
+   s 1 salary f:0x1.2p+3\n\
+   s 1 salary f:0x1.4p+3\n\
+   E\n"
+
+let test_golden_log_bytes () =
+  let fs = Mem.create () in
+  let storage = Mem.storage fs in
+  let db = fresh_db () in
+  let wal = Wal.attach ~storage db log_path in
+  let e = new_employee db ~name:"ann" ~salary:5. in
+  Db.set db e "salary" (Value.Float 6.5);
+  Transaction.begin_ db;
+  Db.set db e "salary" (Value.Float 7.);
+  Transaction.begin_ db;
+  ignore (new_employee db ~name:"bob" ~salary:1.);
+  Transaction.commit db;
+  Transaction.begin_ db;
+  Db.set db e "salary" (Value.Float 99.);
+  Transaction.abort db;
+  Transaction.commit db;
+  Wal.detach wal;
+  let wal =
+    Wal.attach ~storage
+      ~group_commit:{ Wal.max_batch = 3; max_wait_us = max_int }
+      db log_path
+  in
+  List.iter (fun v -> Db.set db e "salary" (Value.Float v)) [ 8.; 9.; 10. ];
+  Alcotest.(check int) "the group is one batch" 1 (Wal.batches_written wal);
+  Wal.detach wal;
+  Alcotest.(check string) "exact log bytes" golden_log
+    (Mem.durable fs log_path);
+  Alcotest.(check int) "wal_bytes counts every byte"
+    (String.length golden_log) (Db.stats db).Oodb.Types.wal_bytes;
+  let db2, r = mem_recover fs in
+  Alcotest.(check int) "four batches replayed" 4 r.Wal.r_batches_replayed;
+  Alcotest.(check bool) "states equal" true (snapshot db = snapshot db2)
+
+(* A transient write fault while a group seals: the bounded retry lands the
+   batch exactly once, because a failed write lands nothing. *)
+let test_group_seal_retries_transient_fault () =
+  let fs = Mem.create () in
+  let storage = Mem.storage fs in
+  let db = fresh_db () in
+  let wal =
+    Wal.attach ~storage
+      ~group_commit:{ Wal.max_batch = 3; max_wait_us = max_int }
+      db log_path
+  in
+  let header = Mem.durable fs log_path in
+  Transaction.begin_ db;
+  let a = new_employee db ~salary:1. in
+  Transaction.commit db;
+  Db.set db a "salary" (Value.Float 2.);
+  (* the third commit seals the group; its first two writes fail *)
+  Mem.fail_writes fs 2;
+  let ops = Mem.ops fs in
+  Db.set db a "salary" (Value.Float 3.);
+  Alcotest.(check int) "one batch written" 1 (Wal.batches_written wal);
+  (* failed writes land nothing and are not operations *)
+  Alcotest.(check int) "the seal is one write and one fsync" 2 (Mem.ops fs - ops);
+  let log = Mem.durable fs log_path in
+  let body = String.sub log (String.length header) (String.length log - String.length header) in
+  let count_sub sub s =
+    let n = String.length sub in
+    let rec go i acc =
+      if i + n > String.length s then acc
+      else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "one batch header on disk" 1 (count_sub "B " body);
+  Alcotest.(check int) "one batch trailer on disk" 1 (count_sub "\nE\n" body);
+  Wal.detach wal;
+  let db2, r = mem_recover fs in
+  Alcotest.(check int) "replay applies it once" 1 r.Wal.r_batches_replayed;
+  Alcotest.check value "last write survived" (Value.Float 3.)
+    (Db.get db2 a "salary");
+  Alcotest.(check bool) "states equal" true (snapshot db = snapshot db2)
+
 let suite =
   [
     test "autocommit logging" test_autocommit_logging;
@@ -739,5 +872,10 @@ let suite =
     test "compact retention policies" test_compact_retention;
     test "stale delta ignored" test_stale_delta_ignored;
     test "system durability wrappers" test_system_durability_wrappers;
+    test "crc32 known answer" test_crc_known_answer;
+    prop_crc_matches_reference;
+    test "golden log bytes" test_golden_log_bytes;
+    test "group seal retries a transient write fault"
+      test_group_seal_retries_transient_fault;
     prop_replay_equals_original;
   ]
