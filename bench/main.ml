@@ -16,7 +16,198 @@ module Context = Events.Context
 module System = Sentinel.System
 module Error_policy = Sentinel.Error_policy
 module Prng = Workloads.Prng
+module Market = Workloads.Stock_market
+module Pool = Sentinel.Shard_pool
 open Bench_util
+
+(* ------------------------------------------------------------------------- *)
+(* Fixtures shared by the experiments                                        *)
+(* ------------------------------------------------------------------------- *)
+
+let ok = function Ok x -> x | Error e -> raise e
+
+let payroll_db () =
+  let db = Db.create () in
+  Workloads.Payroll.install db;
+  db
+
+(* [n] employees named by their index, in a fresh payroll store unless
+   [db] is given. *)
+let employees ?(db = payroll_db ()) n =
+  let objs =
+    Array.init n (fun i ->
+        Db.new_object db "employee"
+          ~attrs:[ ("name", Value.Str (string_of_int i)) ])
+  in
+  (db, objs)
+
+(* [n] set_salary(1.0) operations on random members of [objs]. *)
+let salary_ops rng objs n =
+  List.init n (fun _ -> (Prng.choice rng objs, "set_salary", [ Value.Float 1. ]))
+
+let hot_attr size = Printf.sprintf "a%d" (size / 2)
+
+(* A store with class "wide": [size] int attributes, the hot one in the
+   middle, written by "poke" and read by "peek". *)
+let wide_db size =
+  let db = Db.create () in
+  Db.define_class db
+    (Schema.define "wide"
+       ~attrs:(List.init size (fun i -> (Printf.sprintf "a%d" i, Value.Int 0)))
+       ~methods:
+         [
+           ("poke", Workloads.Dsl.setter (hot_attr size));
+           ("peek", Workloads.Dsl.getter (hot_attr size));
+         ]);
+  db
+
+(* [n] wide objects: their hot slot and a cycle over the first 16, the
+   access pattern of the oltp and obs micro-benches. *)
+let wide_objects db size n =
+  let objs = Array.init n (fun _ -> Db.new_object db "wide") in
+  let i = ref 0 in
+  ( Db.resolve db "wide" (hot_attr size),
+    fun () ->
+      let o = Array.unsafe_get objs (!i land 15) in
+      incr i;
+      o )
+
+(* [n] set_salary sends to random members of a seeded 100-person payroll
+   population: events per second, and [sys]'s stats over them. *)
+let payroll_send_eps sys n =
+  let db = System.db sys in
+  let rng = Prng.create 42 in
+  let pop = Workloads.Payroll.populate db rng ~managers:10 ~employees:90 in
+  let objs = Array.append pop.managers pop.employees in
+  System.reset_stats sys;
+  let args = [ Value.Float 1. ] in
+  let eps =
+    rate n (fun () ->
+        for _ = 1 to n do
+          ignore (Db.send db (Prng.choice rng objs) "set_salary" args)
+        done)
+  in
+  (eps, System.stats sys)
+
+(* A rule system with a "noop" action registered. *)
+let noop_system ?routing ?retry_backoff db =
+  let sys = System.create ?routing ?retry_backoff db in
+  System.register_action sys "noop" (fun _ _ -> ());
+  sys
+
+(* A rule running "noop" on each employee set_salary it subscribes to. *)
+let watch_salary ?name ?coupling ?monitor ?monitor_classes sys =
+  ignore
+    (System.create_rule sys ?name ?coupling ?monitor ?monitor_classes
+       ~event:(Expr.eom ~cls:"employee" "set_salary")
+       ~condition:"true" ~action:"noop" ())
+
+(* Run [f] on [n] fresh temporary WAL paths, removed afterwards. *)
+let with_wals n f =
+  let paths =
+    Array.init n (fun _ -> Filename.temp_file "sentinel_bench" ".wal")
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths)
+    (fun () -> f paths)
+
+let pool_ok = function
+  | Ok x -> x
+  | Error e -> failwith (Pool.error_to_string e)
+
+(* The payroll schema with one class-level [watch_salary] rule: the engine
+   behind every shard-pool send bench. *)
+let payroll_watch () =
+  let sys = noop_system (payroll_db ()) in
+  watch_salary sys ~name:"watch" ~monitor_classes:[ "employee" ];
+  sys
+
+(* Events per second for [iters] set_salary posts striding over 256
+   employees spread across an [n_shards] pool of [payroll_watch] engines,
+   drain included. *)
+let pool_send_eps ?supervision ~iters n_shards () =
+  let pool =
+    Pool.create ~shards:n_shards ?supervision
+      ~init:(fun _ _ -> payroll_watch ())
+      ()
+  in
+  let objs =
+    Array.concat
+      (List.init n_shards (fun i ->
+           ok
+             (Pool.run_on pool i (fun sys ->
+                  Array.init (256 / n_shards) (fun _ ->
+                      Db.new_object (System.db sys) "employee")))))
+  in
+  let args = [ Value.Float 1. ] in
+  let eps =
+    rate iters (fun () ->
+        for k = 0 to iters - 1 do
+          ignore (Pool.post pool objs.(k land 255) "set_salary" args)
+        done;
+        Pool.drain pool)
+  in
+  Pool.stop pool;
+  (eps, ())
+
+(* [tickers] stocks spread over a pool's [shards], each shard populating its
+   slice from PRNG seed [seed + shard], gathered into one market. *)
+let shard_market pool ~shards ~tickers ~seed =
+  let slices =
+    List.init shards (fun i ->
+        ok
+          (Pool.run_on pool i (fun sys ->
+               Market.populate (System.db sys)
+                 (Prng.create (seed + i))
+                 ~stocks:(max 1 (tickers / shards))
+                 ~indexes:0 ~portfolios:0)))
+  in
+  {
+    Market.stocks = Array.concat (List.map (fun m -> m.Market.stocks) slices);
+    indexes = [||];
+    portfolios = [||];
+  }
+
+(* A pool for the ingestion benches: each shard a stock-market engine that
+   journals fsync-per-commit to its own temporary WAL and counts its
+   set_price firings.  Backpressure blocks for as long as it takes rather
+   than shedding the measured workload.  [f pool market] runs the workload
+   and returns its result and the number of events it sent; each event must
+   have fired its rule exactly once, the cheap shadow of the differential
+   suites. *)
+let with_price_pool ?group_commit ?on_idle ~shards ~tickers ~seed f =
+  with_wals shards (fun paths ->
+      let fired = Array.init shards (fun _ -> Atomic.make 0) in
+      let pool =
+        Pool.create ~shards ~backpressure:(Block { max_wait_ms = 600_000 })
+          ?on_idle
+          ~init:(fun _ i ->
+            let db = Db.create () in
+            Market.install db;
+            let sys = System.create db in
+            ignore (System.attach_wal ~sync:true ?group_commit sys paths.(i));
+            System.register_action sys "count" (fun _ _ ->
+                Atomic.incr fired.(i));
+            ignore
+              (System.create_rule sys ~name:"price-watch"
+                 ~monitor_classes:[ Market.stock_class ]
+                 ~event:(Expr.eom ~cls:Market.stock_class "set_price")
+                 ~condition:"true" ~action:"count" ());
+            sys)
+          ()
+      in
+      let result, sent = f pool (shard_market pool ~shards ~tickers ~seed) in
+      for i = 0 to shards - 1 do
+        ok (Pool.run_on pool i System.detach_wal)
+      done;
+      Pool.stop pool;
+      let total_fired = Array.fold_left (fun a c -> a + Atomic.get c) 0 fired in
+      if total_fired <> sent then
+        failwith
+          (Printf.sprintf "parity: %d fired for %d events sent" total_fired
+             sent);
+      result)
 
 (* ------------------------------------------------------------------------- *)
 (* E1: reactivity overhead (paper §3.2: "No overhead is incurred in the
@@ -46,8 +237,7 @@ let e1 () =
     (mk_db ~reactive:true ~in_interface:true);
   let subscribed enabled =
     let db, o = mk_db ~reactive:true ~in_interface:true in
-    let sys = System.create db in
-    System.register_action sys "noop" (fun _ _ -> ());
+    let sys = noop_system db in
     let r =
       System.create_rule sys ~monitor:[ o ] ~event:(Expr.eom ~cls:"thing" "poke")
         ~condition:"true" ~action:"noop" ()
@@ -67,44 +257,21 @@ let e2 () =
   row "  %6s  %12s  %12s  %14s  %14s\n" "#rules" "sentinel" "adam"
     "adam scans" "deliveries";
   let n_objects = 1000 and n_updates = 10_000 in
-  let updates rng objs =
-    List.init n_updates (fun _ ->
-        (Prng.choice rng objs, "set_salary", [ Value.Float 1. ]))
-  in
   let run_sentinel n_rules =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let sys = System.create db in
-    System.register_action sys "noop" (fun _ _ -> ());
-    let rng = Prng.create 1 in
-    let objs =
-      Array.init n_objects (fun i ->
-          Db.new_object db "employee"
-            ~attrs:[ ("name", Value.Str (string_of_int i)) ])
-    in
+    let db, objs = employees n_objects in
+    let sys = noop_system db in
     (* each rule monitors one distinct object *)
     for i = 0 to n_rules - 1 do
-      ignore
-        (System.create_rule sys
-           ~monitor:[ objs.(i mod n_objects) ]
-           ~event:(Expr.eom ~cls:"employee" "set_salary")
-           ~condition:"true" ~action:"noop" ())
+      watch_salary sys ~monitor:[ objs.(i mod n_objects) ]
     done;
-    let ops = updates rng objs in
+    let ops = salary_ops (Prng.create 1) objs n_updates in
     Db.reset_stats db;
     let (), ms = time_ms (fun () -> Workloads.Dsl.apply_ops db ops) in
     (ms, (Db.stats db).notifications)
   in
   let run_adam n_rules =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
+    let db, objs = employees n_objects in
     let adam = Baselines.Adam.create db in
-    let rng = Prng.create 1 in
-    let objs =
-      Array.init n_objects (fun i ->
-          Db.new_object db "employee"
-            ~attrs:[ ("name", Value.Str (string_of_int i)) ])
-    in
     for i = 0 to n_rules - 1 do
       let target = objs.(i mod n_objects) in
       ignore
@@ -115,7 +282,7 @@ let e2 () =
            ~action:(fun _ _ -> ())
            ())
     done;
-    let ops = updates rng objs in
+    let ops = salary_ops (Prng.create 1) objs n_updates in
     let before = Baselines.Adam.scans adam in
     let (), ms = time_ms (fun () -> Workloads.Dsl.apply_ops db ops) in
     (ms, Baselines.Adam.scans adam - before)
@@ -161,14 +328,13 @@ let e3 () =
     (fun k ->
       (* Sentinel: ONE rule object, subscribed to every class *)
       let db = Db.create () in
-      let sys = System.create db in
+      let sys = noop_system db in
       let classes = define_classes db k in
       let objs = populate db classes in
       System.register_condition sys "neg" (fun db inst ->
           match inst.Detector.constituents with
           | [ occ ] -> Value.to_float (Db.get db occ.source "v") < 0.
           | _ -> false);
-      System.register_action sys "noop" (fun _ _ -> ());
       ignore
         (System.create_rule sys ~name:"shared" ~monitor_classes:classes
            ~event:(Expr.eom "set_v")
@@ -279,7 +445,11 @@ let e6 () =
         in
         (target, salary))
   in
-  let run_with send db pop =
+  (* populate [db], run the updates through [send], print the engine's row *)
+  let run_with engine ~defs send db =
+    let pop =
+      Workloads.Payroll.populate db (Prng.create 3) ~managers ~employees
+    in
     let ops = updates (Prng.create 4) pop in
     let rejected = ref 0 in
     let (), ms =
@@ -295,11 +465,10 @@ let e6 () =
               | Error e -> raise e)
             ops)
     in
-    (ms, !rejected)
+    row "  %-10s  %12s  %12d  %12d\n" engine (fmt_ms ms) !rejected defs
   in
   (* Sentinel: one rule, class-level subscription *)
-  (let db = Db.create () in
-   Workloads.Payroll.install db;
+  (let db = payroll_db () in
    let sys = System.create db in
    System.register_condition sys "viol" (fun db inst ->
        match inst.Detector.constituents with
@@ -311,25 +480,19 @@ let e6 () =
      (System.create_rule sys ~name:"salary-check" ~monitor_classes:[ "employee" ]
         ~event:(Expr.eom ~cls:"employee" "set_salary")
         ~condition:"viol" ~action:"abort" ());
-   let pop = Workloads.Payroll.populate db (Prng.create 3) ~managers ~employees in
-   let ms, rejected = run_with (Db.send db) db pop in
-   row "  %-10s  %12s  %12d  %12d\n" "sentinel" (fmt_ms ms) rejected 1);
+   run_with "sentinel" ~defs:1 (Db.send db) db);
   (* Ode: one constraint per class (employee side only is enough to catch
      the injected violations, but we declare both as Figure 11 does) *)
-  (let db = Db.create () in
-   Workloads.Payroll.install db;
+  (let db = payroll_db () in
    let ode = Baselines.Ode.create db in
    Baselines.Ode.declare_constraint ode ~cls:"employee" ~name:"lt-mgr"
      (fun db o ->
        Db.is_instance_of db o "manager" || employee_ok db o);
    Baselines.Ode.declare_constraint ode ~cls:"manager" ~name:"gt-emps"
      (fun _ _ -> true);
-   let pop = Workloads.Payroll.populate db (Prng.create 3) ~managers ~employees in
-   let ms, rejected = run_with (Baselines.Ode.send ode) db pop in
-   row "  %-10s  %12s  %12d  %12d\n" "ode" (fmt_ms ms) rejected 2);
+   run_with "ode" ~defs:2 (Baselines.Ode.send ode) db);
   (* ADAM: two rule objects, centralized dispatch *)
-  let db = Db.create () in
-  Workloads.Payroll.install db;
+  let db = payroll_db () in
   let adam = Baselines.Adam.create db in
   ignore
     (Baselines.Adam.add_rule adam ~name:"emp-rule" ~active_class:"employee"
@@ -345,9 +508,7 @@ let e6 () =
        ~condition:(fun _ _ -> false)
        ~action:(fun _ _ -> ())
        ());
-  let pop = Workloads.Payroll.populate db (Prng.create 3) ~managers ~employees in
-  let ms, rejected = run_with (Db.send db) db pop in
-  row "  %-10s  %12s  %12d  %12d\n" "adam" (fmt_ms ms) rejected 2
+  run_with "adam" ~defs:2 (Db.send db) db
 
 (* ------------------------------------------------------------------------- *)
 (* E7: runtime rule churn vs schema rebuild (§1 issue 1, §3.4)                *)
@@ -356,29 +517,13 @@ let e6 () =
 let e7 () =
   header "E7: adding/removing 100 rules against a live store of 10k objects";
   let n_objects = 10_000 and n_rules = 100 in
-  let fresh () =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let objs =
-      Array.init n_objects (fun i ->
-          Db.new_object db "employee"
-            ~attrs:[ ("name", Value.Str (string_of_int i)) ])
-    in
-    (db, objs)
-  in
   (* Sentinel: create + delete rule objects online *)
-  (let db, objs = fresh () in
-   let sys = System.create db in
-   System.register_action sys "noop" (fun _ _ -> ());
+  (let db, objs = employees n_objects in
+   let sys = noop_system db in
    let (), add_ms =
      time_ms (fun () ->
          for i = 0 to n_rules - 1 do
-           ignore
-             (System.create_rule sys
-                ~name:(string_of_int i)
-                ~monitor:[ objs.(i) ]
-                ~event:(Expr.eom ~cls:"employee" "set_salary")
-                ~condition:"true" ~action:"noop" ())
+           watch_salary sys ~name:(string_of_int i) ~monitor:[ objs.(i) ]
          done)
    in
    let rules = System.rules sys in
@@ -388,7 +533,7 @@ let e7 () =
    row "  %-22s  add %10s   remove %10s\n" "sentinel (online)" (fmt_ms add_ms)
      (fmt_ms del_ms));
   (* ADAM: also online *)
-  (let db, _objs = fresh () in
+  (let db, _ = employees n_objects in
    let adam = Baselines.Adam.create db in
    let added = ref [] in
    let (), add_ms =
@@ -409,7 +554,7 @@ let e7 () =
    row "  %-22s  add %10s   remove %10s\n" "adam (online)" (fmt_ms add_ms)
      (fmt_ms del_ms));
   (* Ode: each addition is a schema rebuild revisiting every instance *)
-  let db, _objs = fresh () in
+  let db, _ = employees n_objects in
   let ode = Baselines.Ode.create db in
   let (), add_ms =
     time_ms (fun () ->
@@ -434,33 +579,14 @@ let e8 () =
   List.iter
     (fun n ->
       let build instance_fraction =
-        let db = Db.create () in
-        Workloads.Payroll.install db;
-        let sys = System.create db in
-        System.register_action sys "noop" (fun _ _ -> ());
-        let objs =
-          Array.init n (fun i ->
-              Db.new_object db "employee"
-                ~attrs:[ ("name", Value.Str (string_of_int i)) ])
-        in
+        let db, objs = employees n in
+        let sys = noop_system db in
         (match instance_fraction with
-        | None ->
-          ignore
-            (System.create_rule sys ~monitor_classes:[ "employee" ]
-               ~event:(Expr.eom ~cls:"employee" "set_salary")
-               ~condition:"true" ~action:"noop" ())
+        | None -> watch_salary sys ~monitor_classes:[ "employee" ]
         | Some frac ->
           let k = max 1 (n / frac) in
-          ignore
-            (System.create_rule sys
-               ~monitor:(Array.to_list (Array.sub objs 0 k))
-               ~event:(Expr.eom ~cls:"employee" "set_salary")
-               ~condition:"true" ~action:"noop" ()));
-        let rng = Prng.create 5 in
-        let ops =
-          List.init n_updates (fun _ ->
-              (Prng.choice rng objs, "set_salary", [ Value.Float 1. ]))
-        in
+          watch_salary sys ~monitor:(Array.to_list (Array.sub objs 0 k)));
+        let ops = salary_ops (Prng.create 5) objs n_updates in
         Db.reset_stats db;
         let (), ms = time_ms (fun () -> Workloads.Dsl.apply_ops db ops) in
         (ms, (System.stats sys).actions_executed)
@@ -478,10 +604,8 @@ let e8 () =
 let e9 () =
   header "E9: save / load / rehydrate a store with first-class rule objects";
   let n_objects = 10_000 and n_rules = 50 in
-  let db = Db.create () in
-  Workloads.Payroll.install db;
-  let sys = System.create db in
-  System.register_action sys "noop" (fun _ _ -> ());
+  let db = payroll_db () in
+  let sys = noop_system db in
   let objs =
     Array.init n_objects (fun i ->
         Db.new_object db "employee"
@@ -501,10 +625,8 @@ let e9 () =
   let text, save_ms = time_ms (fun () -> Oodb.Persist.to_string db) in
   let (db2, sys2), load_ms =
     time_ms (fun () ->
-        let db2 = Db.create () in
-        Workloads.Payroll.install db2;
-        let sys2 = System.create db2 in
-        System.register_action sys2 "noop" (fun _ _ -> ());
+        let db2 = payroll_db () in
+        let sys2 = noop_system db2 in
         Oodb.Persist.of_string db2 text;
         (db2, sys2))
   in
@@ -531,11 +653,11 @@ let e9 () =
 let e10 () =
   header "E10: Purchase rule (conjunction spanning two classes), 50k ticks";
   let db = Db.create () in
-  Workloads.Stock_market.install db;
+  Market.install db;
   let sys = System.create db in
   let rng = Prng.create 6 in
   let market =
-    Workloads.Stock_market.populate db rng ~stocks:100 ~indexes:5 ~portfolios:10
+    Market.populate db rng ~stocks:100 ~indexes:5 ~portfolios:10
   in
   let ibm = market.stocks.(0) and dow = market.indexes.(0) in
   let parker = market.portfolios.(0) in
@@ -551,7 +673,7 @@ let e10 () =
             (Expr.eom ~cls:"stock" ~sources:[ ibm ] "set_price")
             (Expr.eom ~cls:"financial_info" ~sources:[ dow ] "set_value"))
        ~condition:"cheap-and-calm" ~action:"buy" ());
-  let ops = Workloads.Stock_market.ticks rng market ~n:50_000 in
+  let ops = Market.ticks rng market ~n:50_000 in
   Db.reset_stats db;
   let (), ms = time_ms (fun () -> Workloads.Dsl.apply_ops db ops) in
   let info = System.rule_info sys (Option.get (System.find_rule sys "Purchase")) in
@@ -561,50 +683,6 @@ let e10 () =
     info.Sentinel.Rule.triggered info.Sentinel.Rule.fired;
   row "  Parker's holdings: %s shares\n"
     (Value.to_string (Db.get db parker "shares"))
-
-(* ------------------------------------------------------------------------- *)
-(* E11: shared event graph vs naive per-detector dispatch (§1 issue 3)        *)
-(* ------------------------------------------------------------------------- *)
-
-let e11 () =
-  header "E11: event-graph routing vs feeding every detector (10k occurrences)";
-  row "  %8s  %12s  %12s  %14s\n" "#rules" "naive" "graph" "leaf offers";
-  let n_occurrences = 10_000 in
-  List.iter
-    (fun m ->
-      let exprs =
-        List.init m (fun i ->
-            Expr.seq
-              (Expr.eom (Printf.sprintf "open%d" (i mod m)))
-              (Expr.eom (Printf.sprintf "close%d" (i mod m))))
-      in
-      let stream =
-        List.init n_occurrences (fun i ->
-            Oodb.Occurrence.make ~source:(Oid.of_int 1) ~source_class:"c"
-              ~meth:(Printf.sprintf "open%d" (i mod m))
-              ~modifier:Oodb.Types.After ~params:[] ~at:(i + 1))
-      in
-      (* naive: every occurrence offered to every detector *)
-      let detectors =
-        List.map (fun e -> Detector.create ~on_signal:(fun _ -> ()) e) exprs
-      in
-      let (), naive_ms =
-        time_ms (fun () ->
-            List.iter
-              (fun occ -> List.iter (fun d -> Detector.feed d occ) detectors)
-              stream)
-      in
-      (* graph: indexed by (method, modifier) *)
-      let g = Events.Event_graph.create () in
-      List.iter
-        (fun e -> ignore (Events.Event_graph.subscribe g ~on_signal:(fun _ -> ()) e))
-        exprs;
-      let (), graph_ms =
-        time_ms (fun () -> List.iter (Events.Event_graph.feed g) stream)
-      in
-      row "  %8d  %12s  %12s  %14d\n" m (fmt_ms naive_ms) (fmt_ms graph_ms)
-        (Events.Event_graph.routed g))
-    [ 10; 100; 1000 ]
 
 (* ------------------------------------------------------------------------- *)
 (* E12: secondary-index ablation (substrate completeness)                     *)
@@ -618,11 +696,9 @@ let e11 () =
    keys or 6 at 16 keys. *)
 let e12 () =
   header "E12: query cost -- scan vs hash index vs ordered index (50k objects)";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let n = 50_000 in
   let build ~keys =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
+    let db = payroll_db () in
     let rng = Prng.create 8 in
     for i = 0 to n - 1 do
       let name, salary =
@@ -643,9 +719,8 @@ let e12 () =
         Oodb.Query.Lt ("salary", Value.Float 5050.) )
   in
   let measure db pred =
-    let result = ref [] in
-    let (), ms = time_ms (fun () -> result := Oodb.Query.select db "employee" pred) in
-    (ms, List.length !result)
+    let rows, ms = time_ms (fun () -> Oodb.Query.select db "employee" pred) in
+    (ms, List.length rows)
   in
   (* live words per indexed object, and build time, for one index *)
   let index_cost db kind attr =
@@ -703,18 +778,16 @@ let e12 () =
   mem_row "16 keys" hash_16 ord_16;
   row "  promoted words per indexed Db.set: hash %.1f, ordered %.1f\n"
     promo_hash promo_ord;
-  if smoke then begin
-    let over bound (w, _) = w > bound in
-    if over 10. hash_u || over 10. ord_u || over 6. hash_16 || over 6. ord_16
-    then begin
-      row "  FAIL: index memory above 10 words/entry at unique keys or 6 at \
-           16 keys\n";
-      exit 1
-    end
-    else
-      row "  bench-smoke gate: index memory <= 10 words/entry at unique keys, \
-           <= 6 at 16 keys (ok)\n"
-  end
+  let words name (w, _) bound =
+    { name; value = w; cmp = At_most; bound; detail = "live words per entry" }
+  in
+  check
+    [
+      words "hash index, unique keys" hash_u 10.;
+      words "ordered index, unique keys" ord_u 10.;
+      words "hash index, 16 keys" hash_16 6.;
+      words "ordered index, 16 keys" ord_16 6.;
+    ]
 
 (* ------------------------------------------------------------------------- *)
 (* E13: write-ahead-log overhead and recovery                                 *)
@@ -723,63 +796,35 @@ let e12 () =
 let e13 () =
   header "E13: WAL overhead and recovery (10k transactional updates)";
   let n_updates = 10_000 in
-  let build () =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let objs =
-      Array.init 500 (fun i ->
-          Db.new_object db "employee"
-            ~attrs:[ ("name", Value.Str (string_of_int i)) ])
-    in
-    (db, objs)
-  in
   let run db objs =
     let rng = Prng.create 9 in
     for _ = 1 to n_updates do
-      match
-        Transaction.atomically db (fun () ->
-            Db.set db (Prng.choice rng objs) "salary"
-              (Value.Float (Prng.float rng 100.)))
-      with
-      | Ok () -> ()
-      | Error e -> raise e
+      ok
+        (Transaction.atomically db (fun () ->
+             Db.set db (Prng.choice rng objs) "salary"
+               (Value.Float (Prng.float rng 100.))))
     done
   in
-  (let db, objs = build () in
+  (let db, objs = employees 500 in
    let (), ms = time_ms (fun () -> run db objs) in
    row "  no journal            %10s\n" (fmt_ms ms));
-  let wal_path = Filename.temp_file "sentinel_bench" ".wal" in
-  let snap_path = Filename.temp_file "sentinel_bench" ".db" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ wal_path; snap_path ])
-    (fun () ->
+  with_wals 1 (fun paths ->
       (* attach before populating so creations are in the log too; recovery
          below replays from an empty store (no snapshot needed) *)
-      let db = Db.create () in
-      Workloads.Payroll.install db;
+      let db = payroll_db () in
       (* [~sync:false]: E13 measures journaling overhead (encoding + the
          write path), not the disk's fsync latency — E-recovery prices the
          durable path separately *)
-      let wal = Oodb.Wal.attach ~sync:false db wal_path in
-      let objs =
-        Array.init 500 (fun i ->
-            Db.new_object db "employee"
-              ~attrs:[ ("name", Value.Str (string_of_int i)) ])
-      in
+      let wal = Oodb.Wal.attach ~sync:false db paths.(0) in
+      let _, objs = employees ~db 500 in
       let (), ms = time_ms (fun () -> run db objs) in
       row "  WAL attached          %10s  (%d batches, %d entries)\n" (fmt_ms ms)
         (Oodb.Wal.batches_written wal)
         (Oodb.Wal.entries_written wal);
       Oodb.Wal.detach wal;
-      let (db2, applied), rec_ms =
-        time_ms (fun () ->
-            let db2 = Db.create () in
-            Workloads.Payroll.install db2;
-            let applied = Oodb.Wal.replay db2 wal_path in
-            (db2, applied))
+      let applied, rec_ms =
+        time_ms (fun () -> Oodb.Wal.replay (payroll_db ()) paths.(0))
       in
-      ignore db2;
       row "  crash recovery        %10s  (%d batches replayed)\n" (fmt_ms rec_ms)
         applied)
 
@@ -793,31 +838,18 @@ let e14 () =
   let n_updates = 5_000 in
   List.iter
     (fun coupling ->
-      let db = Db.create () in
-      Workloads.Payroll.install db;
-      let sys = System.create db in
-      System.register_action sys "noop" (fun _ _ -> ());
-      let objs =
-        Array.init 100 (fun i ->
-            Db.new_object db "employee"
-              ~attrs:[ ("name", Value.Str (string_of_int i)) ])
-      in
-      ignore
-        (System.create_rule sys ~coupling ~monitor_classes:[ "employee" ]
-           ~event:(Expr.eom ~cls:"employee" "set_salary")
-           ~condition:"true" ~action:"noop" ());
+      let db, objs = employees 100 in
+      let sys = noop_system db in
+      watch_salary sys ~coupling ~monitor_classes:[ "employee" ];
       let rng = Prng.create 10 in
       let (), ms =
         time_ms (fun () ->
             for _ = 1 to n_updates do
-              match
-                Transaction.atomically db (fun () ->
-                    ignore
-                      (Db.send db (Prng.choice rng objs) "set_salary"
-                         [ Value.Float 1. ]))
-              with
-              | Ok () -> ()
-              | Error e -> raise e
+              ok
+                (Transaction.atomically db (fun () ->
+                     ignore
+                       (Db.send db (Prng.choice rng objs) "set_salary"
+                          [ Value.Float 1. ])))
             done)
       in
       row "  %-10s  %12s  %12d\n"
@@ -832,17 +864,7 @@ let e14 () =
 let e15 () =
   header "E15: strict-2PL session overhead, 20k single-write transactions";
   let n = 20_000 in
-  let fresh () =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let objs =
-      Array.init 100 (fun i ->
-          Db.new_object db "employee"
-            ~attrs:[ ("name", Value.Str (string_of_int i)) ])
-    in
-    (db, objs)
-  in
-  (let db, objs = fresh () in
+  (let db, objs = employees 100 in
    let rng = Prng.create 11 in
    let (), ms =
      time_ms (fun () ->
@@ -851,21 +873,18 @@ let e15 () =
          done)
    in
    row "  raw Db.set (no isolation)        %10s\n" (fmt_ms ms));
-  (let db, objs = fresh () in
+  (let db, objs = employees 100 in
    let rng = Prng.create 11 in
    let (), ms =
      time_ms (fun () ->
          for _ = 1 to n do
-           match
-             Transaction.atomically db (fun () ->
-                 Db.set db (Prng.choice rng objs) "salary" (Value.Float 1.))
-           with
-           | Ok () -> ()
-           | Error e -> raise e
+           ok
+             (Transaction.atomically db (fun () ->
+                  Db.set db (Prng.choice rng objs) "salary" (Value.Float 1.)))
          done)
    in
    row "  global transaction per write     %10s\n" (fmt_ms ms));
-  let db, objs = fresh () in
+  let db, objs = employees 100 in
   let m = Oodb.Session.manager db in
   let alice = Oodb.Session.session m and bob = Oodb.Session.session m in
   let rng = Prng.create 11 in
@@ -897,16 +916,9 @@ let e_routing () =
   header "E-routing: indexed vs broadcast delivery, 10k payroll updates";
   let n_updates = 10_000 in
   let sweep = [ 1; 10; 100; 1000 ] in
-  let run routing n_rules =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let sys = System.create ~routing db in
-    System.register_action sys "noop" (fun _ _ -> ());
-    ignore
-      (System.create_rule sys ~name:"match"
-         ~monitor_classes:[ "employee" ]
-         ~event:(Expr.eom ~cls:"employee" "set_salary")
-         ~condition:"true" ~action:"noop" ());
+  let run routing n_rules () =
+    let sys = noop_system ~routing (payroll_db ()) in
+    watch_salary sys ~name:"match" ~monitor_classes:[ "employee" ];
     for i = 2 to n_rules do
       ignore
         (System.create_rule sys
@@ -915,56 +927,50 @@ let e_routing () =
            ~event:(Expr.eom ~cls:"employee" "change_income")
            ~condition:"true" ~action:"noop" ())
     done;
-    let rng = Prng.create 42 in
-    let pop = Workloads.Payroll.populate db rng ~managers:10 ~employees:90 in
-    let objs = Array.append pop.managers pop.employees in
-    System.reset_stats sys;
-    let (), ms =
-      time_ms (fun () ->
-          for _ = 1 to n_updates do
-            ignore
-              (Db.send db (Prng.choice rng objs) "set_salary"
-                 [ Value.Float 1. ])
-          done)
-    in
-    let s = System.stats sys in
-    ( float_of_int n_updates /. (ms /. 1000.),
-      s.System.actions_executed,
-      s.System.candidates_probed,
-      s.System.leaves_offered,
-      s.System.index_hits )
+    payroll_send_eps sys n_updates
   in
   row "  %6s  %14s  %14s  %8s  %10s  %8s\n" "rules" "broadcast ev/s"
     "indexed ev/s" "speedup" "probed" "offered";
   let rows =
     List.map
       (fun n_rules ->
-        let b_eps, b_fired, _, _, _ = run System.Broadcast n_rules in
-        let i_eps, i_fired, probed, offered, hits = run System.Indexed n_rules in
-        assert (b_fired = i_fired);
-        let speedup = i_eps /. b_eps in
-        row "  %6d  %14.0f  %14.0f  %7.1fx  %10d  %8d\n" n_rules b_eps i_eps
-          speedup probed offered;
-        (n_rules, b_eps, i_eps, speedup, probed, offered, hits))
+        let r =
+          trials
+            [
+              ("broadcast", run System.Broadcast n_rules);
+              ("indexed", run System.Indexed n_rules);
+            ]
+        in
+        let b_eps, b_stats = List.assoc "broadcast" r
+        and i_eps, i_stats = List.assoc "indexed" r in
+        let s = i_stats.(0) in
+        assert (
+          b_stats.(0).System.actions_executed = s.System.actions_executed);
+        let speedup = paired ( /. ) i_eps b_eps in
+        row "  %6d  %14.0f  %14.0f  %7.1fx  %10d  %8d\n" n_rules b_eps.median
+          i_eps.median speedup.median s.System.candidates_probed
+          s.System.leaves_offered;
+        Obj
+          ([ ("rules", Int n_rules) ]
+          @ timed "broadcast_events_per_sec" b_eps
+          @ timed "indexed_events_per_sec" i_eps
+          @ timed "speedup" speedup
+          @ [
+              ("candidates_probed", Int s.System.candidates_probed);
+              ("leaves_offered", Int s.System.leaves_offered);
+              ("index_hits", Int s.System.index_hits);
+            ]))
       sweep
   in
-  let oc = open_out "BENCH_routing.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E-routing\",\n  \"updates\": %d,\n  \"population\": 100,\n  \"workload\": \"payroll set_salary; 1 matching rule + (n-1) non-matching class-level rules\",\n  \"rows\": [\n"
-    n_updates;
-  List.iteri
-    (fun i (n_rules, b_eps, i_eps, speedup, probed, offered, hits) ->
-      Printf.fprintf oc
-        "    {\"rules\": %d, \"broadcast_events_per_sec\": %.0f, \
-         \"indexed_events_per_sec\": %.0f, \"speedup\": %.2f, \
-         \"candidates_probed\": %d, \"leaves_offered\": %d, \"index_hits\": \
-         %d}%s\n"
-        n_rules b_eps i_eps speedup probed offered hits
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  row "  wrote BENCH_routing.json\n"
+  write_bench ~experiment:"E-routing" "BENCH_routing.json"
+    [
+      ("updates", Int n_updates); ("population", Int 100);
+      ( "workload",
+        Str
+          "payroll set_salary; 1 matching rule + (n-1) non-matching \
+           class-level rules" );
+      ("rows", List rows);
+    ]
 
 (* ------------------------------------------------------------------------- *)
 (* E-recovery: WAL replay throughput and the price of durability              *)
@@ -974,60 +980,77 @@ let e_recovery () =
   header "E-recovery: WAL replay throughput (banking workload)";
   let module Mem = Oodb.Storage.Mem in
   let module Banking = Workloads.Banking in
-  let log_path = "bank.wal" in
+  let bank_db () =
+    let db = Db.create () in
+    Banking.install db;
+    db
+  in
+  let log_path = "bank.wal" and snap_path = "bank.db" in
+  let sizes = if smoke then [ 500; 2_000 ] else [ 1_000; 5_000; 20_000 ] in
   let run_txns db txns =
     List.iter
       (fun (acct, meth, args) ->
-        match
-          Transaction.atomically db (fun () -> ignore (Db.send db acct meth args))
-        with
-        | Ok () -> ()
-        | Error e -> raise e)
+        ok
+          (Transaction.atomically db (fun () ->
+               ignore (Db.send db acct meth args))))
       txns
   in
-  (* replay throughput over in-memory logs of increasing size *)
-  let build n =
+  (* an in-memory log of [n] transactions, folded into a base snapshot by
+     [Wal.compact] when [compact] *)
+  let build ?(compact = false) n =
     let fs = Mem.create () in
     let storage = Mem.storage fs in
-    let db = Db.create () in
-    Banking.install db;
+    let db = bank_db () in
     let wal = Oodb.Wal.attach ~storage ~sync:false db log_path in
     let rng = Prng.create 11 in
     let accts = Banking.populate db rng ~accounts:100 in
     run_txns db (Banking.transactions rng accts ~n ());
+    if compact then Oodb.Wal.compact wal ~snapshot:snap_path;
     Oodb.Wal.detach wal;
-    (fs, storage)
+    (String.length (Mem.durable fs log_path), storage)
+  in
+  let with_temp_wal f = with_wals 1 (fun paths -> f paths.(0)) in
+  (* replay throughput over in-memory logs of increasing size *)
+  let logs = List.map (fun n -> (n, build n)) sizes in
+  let replay storage () =
+    let (applied, discarded), ms =
+      time_ms (fun () ->
+          let db2 = bank_db () in
+          let applied = Oodb.Wal.replay ~storage db2 log_path in
+          (applied, (Db.stats db2).Oodb.Types.wal_batches_discarded))
+    in
+    assert (discarded = 0);
+    (ms, applied)
+  in
+  let replays =
+    trials
+      (List.map
+         (fun (n, (_, storage)) -> (string_of_int n, replay storage))
+         logs)
   in
   row "  %12s  %10s  %10s  %10s  %14s\n" "transactions" "log bytes" "batches"
     "replay" "batches/s";
   let rows =
     List.map
-      (fun n ->
-        let fs, storage = build n in
-        let bytes = String.length (Mem.durable fs log_path) in
-        let (applied, discarded), ms =
-          time_ms (fun () ->
-              let db2 = Db.create () in
-              Banking.install db2;
-              let applied = Oodb.Wal.replay ~storage db2 log_path in
-              (applied, (Db.stats db2).Oodb.Types.wal_batches_discarded))
-        in
-        assert (discarded = 0);
-        let bps = float_of_int applied /. (ms /. 1000.) in
-        row "  %12d  %10d  %10d  %10s  %14.0f\n" n bytes applied (fmt_ms ms) bps;
-        (n, bytes, applied, ms, bps))
-      (if Sys.getenv_opt "BENCH_SMOKE" <> None then [ 500; 2_000 ]
-       else [ 1_000; 5_000; 20_000 ])
+      (fun (n, (bytes, _)) ->
+        let ms, applied = List.assoc (string_of_int n) replays in
+        let applied = applied.(0) in
+        let bps = map (fun ms -> float_of_int applied /. ms *. 1000.) ms in
+        row "  %12d  %10d  %10d  %10s  %14.0f\n" n bytes applied
+          (fmt_ms ms.median) bps.median;
+        Obj
+          ([
+             ("transactions", Int n); ("log_bytes", Int bytes);
+             ("batches_replayed", Int applied);
+           ]
+          @ timed "replay_ms" ms @ timed "batches_per_sec" bps))
+      logs
   in
   (* the price of the fsync-per-commit durability contract, on the real fs *)
   let durability_n = 1_000 in
-  let durable_run sync =
-    let path = Filename.temp_file "sentinel_bench" ".wal" in
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-      (fun () ->
-        let db = Db.create () in
-        Banking.install db;
+  let durable_run sync () =
+    with_temp_wal (fun path ->
+        let db = bank_db () in
         let wal = Oodb.Wal.attach ~sync db path in
         let rng = Prng.create 3 in
         let accts = Banking.populate db rng ~accounts:50 in
@@ -1037,21 +1060,20 @@ let e_recovery () =
         Oodb.Wal.detach wal;
         (ms, fsyncs))
   in
-  let sync_ms, sync_fsyncs = durable_run true in
-  let nosync_ms, _ = durable_run false in
+  let durability =
+    trials [ ("sync", durable_run true); ("buffered", durable_run false) ]
+  in
+  let sync_ms, sync_fsyncs = List.assoc "sync" durability
+  and nosync_ms, _ = List.assoc "buffered" durability in
   row "  durability: %d txns   fsync-per-commit %10s (%d fsyncs)   buffered %10s\n"
-    durability_n (fmt_ms sync_ms) sync_fsyncs (fmt_ms nosync_ms);
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
+    durability_n (fmt_ms sync_ms.median) sync_fsyncs.(0)
+    (fmt_ms nosync_ms.median);
   (* group commit: durable (sync:true) commits/sec on the real fs, with the
      coordinator coalescing 1 / 8 / 64 commits per WAL batch + fsync *)
   let group_n = if smoke then 300 else durability_n in
-  let grouped_run g =
-    let path = Filename.temp_file "sentinel_bench" ".wal" in
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-      (fun () ->
-        let db = Db.create () in
-        Banking.install db;
+  let grouped_run g () =
+    with_temp_wal (fun path ->
+        let db = bank_db () in
         let wal =
           Oodb.Wal.attach ~sync:true
             ~group_commit:{ Oodb.Wal.max_batch = g; max_wait_us = max_int }
@@ -1062,23 +1084,33 @@ let e_recovery () =
         Oodb.Wal.sync wal;
         let before_fsyncs = (Db.stats db).Oodb.Types.wal_fsyncs in
         let txns = Banking.transactions rng accts ~n:group_n () in
-        let (), ms =
-          time_ms (fun () ->
+        let cps =
+          rate group_n (fun () ->
               run_txns db txns;
               Oodb.Wal.sync wal)
         in
         let fsyncs = (Db.stats db).Oodb.Types.wal_fsyncs - before_fsyncs in
         Oodb.Wal.detach wal;
-        (float_of_int group_n /. (ms /. 1000.), ms, fsyncs))
+        (cps, fsyncs))
   in
+  let groups = [ 1; 8; 64 ] in
+  let grouped =
+    trials (List.map (fun g -> (string_of_int g, grouped_run g)) groups)
+  in
+  let cps g = fst (List.assoc (string_of_int g) grouped) in
   row "  %12s  %12s  %10s  %8s\n" "group size" "commits/s" "time" "fsyncs";
   let group_rows =
     List.map
       (fun g ->
-        let cps, ms, fsyncs = grouped_run g in
-        row "  %12d  %12.0f  %10s  %8d\n" g cps (fmt_ms ms) fsyncs;
-        (g, cps, ms, fsyncs))
-      [ 1; 8; 64 ]
+        let cps, fsyncs = List.assoc (string_of_int g) grouped in
+        let ms = map (fun cps -> float_of_int group_n /. cps *. 1000.) cps in
+        row "  %12d  %12.0f  %10s  %8d\n" g cps.median (fmt_ms ms.median)
+          fsyncs.(0);
+        Obj
+          ([ ("group", Int g) ]
+          @ timed "commits_per_sec" cps @ timed "ms" ms
+          @ [ ("fsyncs", Int fsyncs.(0)) ]))
+      groups
   in
   (* allocation: major-heap words allocated directly (not promoted) per
      durable commit of 64 sets, on the real fs.  OCaml puts every block
@@ -1087,25 +1119,18 @@ let e_recovery () =
      are exact once synchronised, so this row is deterministic. *)
   let alloc_sets = 64 and alloc_commits = 200 in
   let direct_words_per_commit =
-    let path = Filename.temp_file "sentinel_bench" ".wal" in
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-      (fun () ->
-        let db = Db.create () in
-        Banking.install db;
+    with_temp_wal (fun path ->
+        let db = bank_db () in
         let accts = Banking.populate db (Prng.create 5) ~accounts:alloc_sets in
         let wal = Oodb.Wal.attach ~sync:true db path in
         let commit c =
-          match
-            Transaction.atomically db (fun () ->
-                Array.iteri
-                  (fun i a ->
-                    Db.set db a "balance"
-                      (Value.Float (float_of_int ((c * alloc_sets) + i))))
-                  accts)
-          with
-          | Ok () -> ()
-          | Error e -> raise e
+          ok
+            (Transaction.atomically db (fun () ->
+                 Array.iteri
+                   (fun i a ->
+                     Db.set db a "balance"
+                       (Value.Float (float_of_int ((c * alloc_sets) + i))))
+                   accts))
         in
         (* warm-up: reusable buffers reach their working size *)
         for c = 1 to 8 do
@@ -1132,165 +1157,135 @@ let e_recovery () =
     alloc_commits alloc_sets direct_words_per_commit;
   (* compaction: recovery time against the same log before and after
      [Wal.compact] folds it into a base snapshot *)
-  let snap_path = "bank.db" in
   let recover_ms storage =
-    let _, ms =
-      time_ms (fun () ->
-          let db2 = Db.create () in
-          Banking.install db2;
-          Oodb.Wal.recover ~storage db2 ~snapshot:snap_path ~wal:log_path)
-    in
-    ms
+    snd
+      (time_ms (fun () ->
+           Oodb.Wal.recover ~storage (bank_db ()) ~snapshot:snap_path
+             ~wal:log_path))
+  in
+  let compacted =
+    trials
+      (List.map
+         (fun (n, (bytes, storage)) ->
+           let bytes_after, compacted = build ~compact:true n in
+           ( string_of_int n,
+             fun () ->
+               (recover_ms storage, (recover_ms compacted, bytes, bytes_after))
+           ))
+         logs)
   in
   row "  %12s  %10s  %10s  %14s  %12s\n" "transactions" "wal bytes"
     "recover" "compacted wal" "recover(c)";
   let compact_rows =
     List.map
       (fun n ->
-        let fs = Mem.create () in
-        let storage = Mem.storage fs in
-        let db = Db.create () in
-        Banking.install db;
-        let wal = Oodb.Wal.attach ~storage ~sync:false db log_path in
-        let rng = Prng.create 11 in
-        let accts = Banking.populate db rng ~accounts:100 in
-        run_txns db (Banking.transactions rng accts ~n ());
-        let bytes = String.length (Mem.durable fs log_path) in
-        let ms_before = recover_ms storage in
-        Oodb.Wal.compact wal ~snapshot:snap_path;
-        Oodb.Wal.detach wal;
-        let bytes_after = String.length (Mem.durable fs log_path) in
-        let ms_after = recover_ms storage in
-        row "  %12d  %10d  %10s  %14d  %12s\n" n bytes (fmt_ms ms_before)
-          bytes_after (fmt_ms ms_after);
-        (n, bytes, ms_before, bytes_after, ms_after))
-      (if smoke then [ 500; 2_000 ] else [ 1_000; 5_000; 20_000 ])
+        let before, sides = List.assoc (string_of_int n) compacted in
+        let _, bytes, bytes_after = sides.(0) in
+        let after = stat (Array.map (fun (ms, _, _) -> ms) sides) in
+        row "  %12d  %10d  %10s  %14d  %12s\n" n bytes (fmt_ms before.median)
+          bytes_after (fmt_ms after.median);
+        Obj
+          ([ ("transactions", Int n); ("wal_bytes", Int bytes) ]
+          @ timed "recover_ms" before
+          @ [ ("compacted_wal_bytes", Int bytes_after) ]
+          @ timed "recover_compacted_ms" after))
+      sizes
   in
   (* incremental checkpoints: at 10% dirty, the delta's cost must track the
      dirty set, not the store *)
+  let checkpoints n () =
+    let fs = Mem.create () in
+    let storage = Mem.storage fs in
+    let db = bank_db () in
+    let wal = Oodb.Wal.attach ~storage ~sync:false db log_path in
+    let rng = Prng.create 17 in
+    let accts = Banking.populate db rng ~accounts:n in
+    let (), full_ms =
+      time_ms (fun () -> Oodb.Wal.checkpoint wal ~snapshot:snap_path)
+    in
+    let full_bytes = String.length (Mem.durable fs snap_path) in
+    for i = 0 to (n / 10) - 1 do
+      Db.set db accts.(i) "balance" (Value.Float (float_of_int i))
+    done;
+    let (), delta_ms =
+      time_ms (fun () ->
+          Oodb.Wal.checkpoint ~mode:`Delta wal ~snapshot:snap_path)
+    in
+    let delta_bytes = String.length (Mem.durable fs (snap_path ^ ".delta-1")) in
+    Oodb.Wal.detach wal;
+    (full_ms, (delta_ms, full_bytes, delta_bytes))
+  in
+  let scaling =
+    trials (List.map (fun n -> (string_of_int n, checkpoints n)) sizes)
+  in
   row "  %12s  %8s  %12s  %10s  %12s  %10s\n" "objects" "dirty" "full bytes"
     "full ckpt" "delta bytes" "delta ckpt";
   let scaling_rows =
     List.map
       (fun n ->
-        let fs = Mem.create () in
-        let storage = Mem.storage fs in
-        let db = Db.create () in
-        Banking.install db;
-        let wal = Oodb.Wal.attach ~storage ~sync:false db log_path in
-        let rng = Prng.create 17 in
-        let accts = Banking.populate db rng ~accounts:n in
-        let (), full_ms =
-          time_ms (fun () -> Oodb.Wal.checkpoint wal ~snapshot:snap_path)
-        in
-        let full_bytes = String.length (Mem.durable fs snap_path) in
-        let dirty = max 1 (n / 10) in
-        for i = 0 to dirty - 1 do
-          Db.set db accts.(i) "balance" (Value.Float (float_of_int i))
-        done;
-        let (), delta_ms =
-          time_ms (fun () ->
-              Oodb.Wal.checkpoint ~mode:`Delta wal ~snapshot:snap_path)
-        in
-        let delta_bytes =
-          String.length (Mem.durable fs (snap_path ^ ".delta-1"))
-        in
-        Oodb.Wal.detach wal;
-        row "  %12d  %8d  %12d  %10s  %12d  %10s\n" n dirty full_bytes
-          (fmt_ms full_ms) delta_bytes (fmt_ms delta_ms);
-        (n, dirty, full_bytes, full_ms, delta_bytes, delta_ms))
-      (if smoke then [ 500; 2_000 ] else [ 1_000; 5_000; 20_000 ])
+        let full_ms, sides = List.assoc (string_of_int n) scaling in
+        let _, full_bytes, delta_bytes = sides.(0) in
+        let delta_ms = stat (Array.map (fun (ms, _, _) -> ms) sides) in
+        row "  %12d  %8d  %12d  %10s  %12d  %10s\n" n (n / 10) full_bytes
+          (fmt_ms full_ms.median) delta_bytes (fmt_ms delta_ms.median);
+        Obj
+          ([
+             ("objects", Int n); ("dirty", Int (n / 10));
+             ("full_bytes", Int full_bytes);
+           ]
+          @ timed "full_ms" full_ms
+          @ [ ("delta_bytes", Int delta_bytes) ]
+          @ timed "delta_ms" delta_ms))
+      sizes
   in
-  let oc = open_out "BENCH_recovery.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E-recovery\",\n  \"workload\": \"banking \
-     deposits/withdrawals, one transaction per batch, 100 accounts\",\n\
-    \  \"durability\": {\"transactions\": %d, \"fsync_per_commit_ms\": %.2f, \
-     \"fsyncs\": %d, \"buffered_ms\": %.2f},\n\
-    \  \"allocation\": {\"commits\": %d, \"sets_per_commit\": %d, \
-     \"direct_major_words_per_commit\": %.1f},\n  \"group_commit\": [\n"
-    durability_n sync_ms sync_fsyncs nosync_ms alloc_commits alloc_sets
-    direct_words_per_commit;
-  List.iteri
-    (fun i (g, cps, ms, fsyncs) ->
-      Printf.fprintf oc
-        "    {\"group\": %d, \"commits_per_sec\": %.0f, \"ms\": %.2f, \
-         \"fsyncs\": %d}%s\n"
-        g cps ms fsyncs
-        (if i = List.length group_rows - 1 then "" else ","))
-    group_rows;
-  Printf.fprintf oc "  ],\n  \"compaction\": [\n";
-  List.iteri
-    (fun i (n, bytes, ms_b, bytes_a, ms_a) ->
-      Printf.fprintf oc
-        "    {\"transactions\": %d, \"wal_bytes\": %d, \"recover_ms\": %.2f, \
-         \"compacted_wal_bytes\": %d, \"recover_compacted_ms\": %.2f}%s\n"
-        n bytes ms_b bytes_a ms_a
-        (if i = List.length compact_rows - 1 then "" else ","))
-    compact_rows;
-  Printf.fprintf oc "  ],\n  \"checkpoint_scaling\": [\n";
-  List.iteri
-    (fun i (n, dirty, fb, fm, db_, dm) ->
-      Printf.fprintf oc
-        "    {\"objects\": %d, \"dirty\": %d, \"full_bytes\": %d, \
-         \"full_ms\": %.2f, \"delta_bytes\": %d, \"delta_ms\": %.2f}%s\n"
-        n dirty fb fm db_ dm
-        (if i = List.length scaling_rows - 1 then "" else ","))
-    scaling_rows;
-  Printf.fprintf oc "  ],\n  \"rows\": [\n";
-  List.iteri
-    (fun i (n, bytes, applied, ms, bps) ->
-      Printf.fprintf oc
-        "    {\"transactions\": %d, \"log_bytes\": %d, \"batches_replayed\": \
-         %d, \"replay_ms\": %.2f, \"batches_per_sec\": %.0f}%s\n"
-        n bytes applied ms bps
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  row "  wrote BENCH_recovery.json\n";
-  (* CI regression gates (smoke runs only): group commit must actually buy
-     durable throughput, and the delta checkpoint must be priced by the
-     dirty set, not the store. *)
-  if smoke then begin
-    let cps g =
-      List.find_map
-        (fun (g', cps, _, _) -> if g' = g then Some cps else None)
-        group_rows
-      |> Option.get
-    in
-    if cps 64 < 5. *. cps 1 then begin
-      row "  FAIL: group-64 durable commits/sec below 5x group-1 (%.0f vs %.0f)\n"
-        (cps 64) (cps 1);
-      exit 1
-    end
-    else
-      row "  bench-smoke gate: group-64 >= 5x group-1 durable commits/sec (ok)\n";
-    let n, _, full_bytes, _, delta_bytes, _ =
-      List.nth scaling_rows (List.length scaling_rows - 1)
-    in
-    if delta_bytes * 4 >= full_bytes then begin
-      row
-        "  FAIL: 10%%-dirty delta checkpoint not under 1/4 of the full \
-         snapshot at %d objects (%d vs %d bytes)\n"
-        n delta_bytes full_bytes;
-      exit 1
-    end
-    else
-      row
-        "  bench-smoke gate: 10%%-dirty delta <= 1/4 full snapshot bytes (ok)\n";
-    if direct_words_per_commit > 32. then begin
-      row
-        "  FAIL: %.1f direct major words per durable commit (bound 32): a \
-         per-batch block above 256 words is back on the WAL append path\n"
-        direct_words_per_commit;
-      exit 1
-    end
-    else
-      row
-        "  bench-smoke gate: <= 32 direct major words per durable commit \
-         (ok)\n";
-  end
+  write_bench ~experiment:"E-recovery" "BENCH_recovery.json"
+    [
+      ( "workload",
+        Str
+          "banking deposits/withdrawals, one transaction per batch, 100 \
+           accounts" );
+      ( "durability",
+        Obj
+          ([ ("transactions", Int durability_n) ]
+          @ timed "fsync_per_commit_ms" sync_ms
+          @ [ ("fsyncs", Int sync_fsyncs.(0)) ]
+          @ timed "buffered_ms" nosync_ms) );
+      ( "allocation",
+        Obj
+          [
+            ("commits", Int alloc_commits); ("sets_per_commit", Int alloc_sets);
+            ("direct_major_words_per_commit", Num direct_words_per_commit);
+          ] );
+      ("group_commit", List group_rows);
+      ("compaction", List compact_rows);
+      ("checkpoint_scaling", List scaling_rows);
+      ("rows", List rows);
+    ];
+  (* group commit must actually buy durable throughput, and the delta
+     checkpoint must be priced by the dirty set, not the store *)
+  let largest = List.nth sizes (List.length sizes - 1) in
+  let _, full_bytes, delta_bytes =
+    (snd (List.assoc (string_of_int largest) scaling)).(0)
+  in
+  check
+    [
+      ratio_gate "group-64 vs group-1 durable commits/sec" (cps 64) (cps 1)
+        5.;
+      {
+        name = "10%-dirty delta vs full snapshot bytes";
+        value = float_of_int delta_bytes /. float_of_int full_bytes;
+        cmp = Below;
+        bound = 0.25;
+        detail = Printf.sprintf "%d objects" largest;
+      };
+      {
+        name = "direct major words per durable commit";
+        value = direct_words_per_commit;
+        cmp = At_most;
+        bound = 32.;
+        detail = "a block above 256 words on the WAL append path";
+      };
+    ]
 
 (* ------------------------------------------------------------------------- *)
 (* E-containment: fault injection — throughput with 0/1/10% failing rules     *)
@@ -1304,16 +1299,12 @@ let e_recovery () =
    cost is visible relative to each delivery path. *)
 let e_containment () =
   header "E-containment: fault-injected rule execution, 100 shared rules";
-  (* BENCH_SMOKE: CI-sized run *)
-  let n_updates =
-    match Sys.getenv_opt "BENCH_SMOKE" with Some _ -> 500 | None -> 5_000
-  in
+  let n_updates = if smoke then 500 else 5_000 in
   let n_rules = 100 in
-  let run routing policy bad_pct =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let sys = System.create ~routing ~retry_backoff:(fun _ -> ()) db in
-    System.register_action sys "noop" (fun _ _ -> ());
+  let run routing policy bad_pct () =
+    let sys =
+      noop_system ~routing ~retry_backoff:(fun _ -> ()) (payroll_db ())
+    in
     System.register_action sys "explode" (fun _ _ -> failwith "boom");
     let n_bad = n_rules * bad_pct / 100 in
     for i = 1 to n_rules do
@@ -1326,72 +1317,57 @@ let e_containment () =
            ~action:(if i <= n_bad then "explode" else "noop")
            ())
     done;
-    let rng = Prng.create 42 in
-    let pop = Workloads.Payroll.populate db rng ~managers:10 ~employees:90 in
-    let objs = Array.append pop.managers pop.employees in
-    System.reset_stats sys;
-    let (), ms =
-      time_ms (fun () ->
-          for _ = 1 to n_updates do
-            ignore
-              (Db.send db (Prng.choice rng objs) "set_salary"
-                 [ Value.Float 1. ])
-          done)
-    in
-    let s = System.stats sys in
-    ( float_of_int n_updates /. (ms /. 1000.),
-      s.System.contained_failures,
-      s.System.quarantined_rules,
-      s.System.dead_letters )
+    payroll_send_eps sys n_updates
   in
-  let configs =
-    [
-      (System.Indexed, "indexed"); (System.Broadcast, "broadcast");
-    ]
-  and policies =
-    [
-      (Error_policy.Contain, "contain");
-      (Error_policy.Quarantine 3, "quarantine:3");
-    ]
-  and pcts = [ 0; 1; 10 ] in
-  row "  %9s  %13s  %5s  %12s  %10s  %12s  %8s\n" "routing" "policy" "bad%"
-    "events/s" "contained" "quarantined" "queued";
-  let rows =
+  let cells =
     List.concat_map
       (fun (routing, rname) ->
         List.concat_map
           (fun (policy, pname) ->
             List.map
               (fun pct ->
-                let eps, contained, quarantined, queued =
-                  run routing policy pct
-                in
-                row "  %9s  %13s  %4d%%  %12.0f  %10d  %12d  %8d\n" rname
-                  pname pct eps contained quarantined queued;
-                (rname, pname, pct, eps, contained, quarantined, queued))
-              pcts)
-          policies)
-      configs
+                (Printf.sprintf "%s %s %d" rname pname pct, (rname, pname, pct),
+                 run routing policy pct))
+              [ 0; 1; 10 ])
+          [
+            (Error_policy.Contain, "contain");
+            (Error_policy.Quarantine 3, "quarantine:3");
+          ])
+      [ (System.Indexed, "indexed"); (System.Broadcast, "broadcast") ]
   in
-  let oc = open_out "BENCH_containment.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E-containment\",\n  \"updates\": %d,\n  \
-     \"rules\": %d,\n  \"workload\": \"payroll set_salary; all rules share \
-     every event; bad%% of rules have always-raising actions\",\n  \"rows\": \
-     [\n"
-    n_updates n_rules;
-  List.iteri
-    (fun i (rname, pname, pct, eps, contained, quarantined, queued) ->
-      Printf.fprintf oc
-        "    {\"routing\": \"%s\", \"policy\": \"%s\", \"failing_pct\": %d, \
-         \"events_per_sec\": %.0f, \"contained_failures\": %d, \
-         \"quarantined_rules\": %d, \"dead_letters\": %d}%s\n"
-        rname pname pct eps contained quarantined queued
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  row "  wrote BENCH_containment.json\n"
+  let results = trials (List.map (fun (key, _, arm) -> (key, arm)) cells) in
+  row "  %9s  %13s  %5s  %12s  %10s  %12s  %8s\n" "routing" "policy" "bad%"
+    "events/s" "contained" "quarantined" "queued";
+  let rows =
+    List.map
+      (fun (key, (rname, pname, pct), _) ->
+        let eps, stats = List.assoc key results in
+        let s = stats.(0) in
+        row "  %9s  %13s  %4d%%  %12.0f  %10d  %12d  %8d\n" rname pname pct
+          eps.median s.System.contained_failures s.System.quarantined_rules
+          s.System.dead_letters;
+        Obj
+          ([
+             ("routing", Str rname); ("policy", Str pname);
+             ("failing_pct", Int pct);
+           ]
+          @ timed "events_per_sec" eps
+          @ [
+              ("contained_failures", Int s.System.contained_failures);
+              ("quarantined_rules", Int s.System.quarantined_rules);
+              ("dead_letters", Int s.System.dead_letters);
+            ]))
+      cells
+  in
+  write_bench ~experiment:"E-containment" "BENCH_containment.json"
+    [
+      ("updates", Int n_updates); ("rules", Int n_rules);
+      ( "workload",
+        Str
+          "payroll set_salary; all rules share every event; bad% of rules \
+           have always-raising actions" );
+      ("rows", List rows);
+    ]
 
 (* ------------------------------------------------------------------------- *)
 (* E-oltp: get/set/send on slot-array objects, and the shards axis            *)
@@ -1407,67 +1383,65 @@ let e_containment () =
    lives in CI (scripts/bench_compare.sh --fail-below). *)
 let e_oltp () =
   header "E-oltp: slot-array objects (get/set/send micro-bench)";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let rw_iters = if smoke then 100_000 else 1_000_000 in
   let send_iters = if smoke then 20_000 else 200_000 in
   let n_objects = if smoke then 200 else 1_000 in
   let sizes = [ 10; 100; 1000 ] in
   (* ops/s and heap bytes allocated per op for [iters] runs of [f] *)
-  let measure iters f =
+  let measure iters f () =
     let bytes0 = Gc.allocated_bytes () in
-    let (), ms = time_ms (fun () -> for _ = 1 to iters do f () done) in
-    ((float_of_int iters /. ms) *. 1000., (Gc.allocated_bytes () -. bytes0) /. float_of_int iters)
+    let ops = rate iters (fun () -> for _ = 1 to iters do f () done) in
+    (ops, (Gc.allocated_bytes () -. bytes0) /. float_of_int iters)
   in
   let run size =
-    let db = Db.create () in
-    let hot = Printf.sprintf "a%d" (size / 2) in
-    Db.define_class db
-      (Schema.define "wide"
-         ~attrs:(List.init size (fun i -> (Printf.sprintf "a%d" i, Value.Int 0)))
-         ~methods:
-           [ ("poke", Workloads.Dsl.setter hot); ("peek", Workloads.Dsl.getter hot) ]);
-    (* object creation throughput first: it also populates the working set *)
-    let objs = Array.make n_objects (Oid.of_int 0) in
-    let create_ops, create_bytes =
-      measure n_objects
-        (let i = ref 0 in
-         fun () ->
-           objs.(!i) <- Db.new_object db "wide";
-           incr i)
-    in
-    let slot = Db.resolve db "wide" hot in
-    let next =
-      let i = ref 0 in
-      fun () ->
-        let o = Array.unsafe_get objs (!i land (16 - 1)) in
-        incr i;
-        o
-    in
+    let hot = hot_attr size in
+    let db = wide_db size in
+    let slot, next = wide_objects db size n_objects in
     let one = Value.Int 1 in
-    let get_ops, get_bytes =
-      measure rw_iters (fun () -> ignore (Db.slot_get db (next ()) slot))
-    in
-    let set_ops, set_bytes =
-      measure rw_iters (fun () -> Db.slot_set db (next ()) slot one)
-    in
-    let get_str_ops, _ = measure rw_iters (fun () -> ignore (Db.get db (next ()) hot)) in
-    let set_str_ops, _ = measure rw_iters (fun () -> Db.set db (next ()) hot one) in
     let args = [ one ] in
-    let send_ops, send_bytes =
-      measure send_iters (fun () -> ignore (Db.send db (next ()) "poke" args))
+    let rw f = measure rw_iters f in
+    let r =
+      trials
+        [
+          ("get", rw (fun () -> ignore (Db.slot_get db (next ()) slot)));
+          ("set", rw (fun () -> Db.slot_set db (next ()) slot one));
+          ("get_string", rw (fun () -> ignore (Db.get db (next ()) hot)));
+          ("set_string", rw (fun () -> Db.set db (next ()) hot one));
+          ( "send",
+            measure send_iters (fun () ->
+                ignore (Db.send db (next ()) "poke" args)) );
+          (* object creation throughput, into a fresh store each trial *)
+          ( "create",
+            fun () ->
+              let db = wide_db size in
+              measure n_objects
+                (fun () -> ignore (Db.new_object db "wide"))
+                () );
+        ]
     in
+    let ops k = fst (List.assoc k r) and bytes k = (snd (List.assoc k r)).(0) in
     row "  %5d  get %11.0f/s (%3.0fB)  set %11.0f/s (%3.0fB)  send %10.0f/s (%3.0fB)\n"
-      size get_ops get_bytes set_ops set_bytes send_ops send_bytes;
-    ( size, get_ops, get_bytes, set_ops, set_bytes, send_ops, send_bytes,
-      get_str_ops, set_str_ops, create_ops, create_bytes )
+      size (ops "get").median (bytes "get") (ops "set").median (bytes "set")
+      (ops "send").median (bytes "send");
+    Obj
+      ([ ("attrs", Int size) ]
+      @ timed "get_ops_per_sec" (ops "get")
+      @ [ ("get_bytes_per_op", Num (bytes "get")) ]
+      @ timed "set_ops_per_sec" (ops "set")
+      @ [ ("set_bytes_per_op", Num (bytes "set")) ]
+      @ timed "send_ops_per_sec" (ops "send")
+      @ [ ("send_bytes_per_op", Num (bytes "send")) ]
+      @ timed "get_string_ops_per_sec" (ops "get_string")
+      @ timed "set_string_ops_per_sec" (ops "set_string")
+      @ timed "create_ops_per_sec" (ops "create")
+      @ [ ("create_bytes_per_obj", Num (bytes "create")) ])
   in
   row "  %5s\n" "attrs";
   let rows = List.map run sizes in
   (* Query.matches contract: one object fetch per candidate; a smoke run
-     exits non-zero if select regresses to per-attribute fetches. *)
+     fails its gate if select regresses to per-attribute fetches. *)
   let query_probes =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
+    let db = payroll_db () in
     let rng = Prng.create 7 in
     ignore (Workloads.Payroll.populate db rng ~managers:10 ~employees:90);
     Oodb.Query.reset_probes ();
@@ -1477,170 +1451,106 @@ let e_oltp () =
             ( Oodb.Query.Ge ("salary", Value.Float 0.),
               Oodb.Query.Has "name" )));
     let n = Oodb.Query.probes () in
-    row "  query probes: %d object fetches for 100 candidates %s\n" n
-      (if n = 100 then "(ok)" else "(REGRESSION: expected 100)");
+    row "  query probes: %d object fetches for 100 candidates\n" n;
     n
   in
   (* Domain-parallel send throughput: one reactive rule per shard, sends
      routed by OID hash through a Shard_pool at shards={1,2,4}.  A 1-shard
      pool executes directly on the caller (no domain, no queue), so its row
      is the single-threaded engine plus the post wrapper — gated within 5%
-     of the raw Db.send path measured in the same run.  The scaling gate
+     of the raw Db.send path measured in the same trials.  The scaling gate
      only applies when the machine has cores to scale onto. *)
-  let shard_send_iters = if smoke then 40_000 else 200_000 in
-  let cores = Domain.recommended_domain_count () in
-  (* one engine: the payroll schema and a single noop rule on set_salary *)
-  let payroll_watch () =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let sys = System.create db in
-    System.register_action sys "noop" (fun _ _ -> ());
-    ignore
-      (System.create_rule sys ~name:"watch" ~monitor_classes:[ "employee" ]
-         ~event:(Expr.eom ~cls:"employee" "set_salary")
-         ~condition:"true" ~action:"noop" ());
-    sys
-  in
-  let shard_init _pool _i = payroll_watch () in
-  let shard_eps ?(supervised = false) n_shards =
-    let supervision =
-      if supervised then Some Sentinel.Shard_pool.default_supervision
-      else None
-    in
-    let pool =
-      Sentinel.Shard_pool.create ~shards:n_shards ?supervision
-        ~init:shard_init ()
-    in
-    let per_shard = 256 / n_shards in
-    let objs =
-      Array.concat
-        (List.init n_shards (fun i ->
-             match
-               Sentinel.Shard_pool.run_on pool i (fun sys ->
-                   Array.init per_shard (fun _ ->
-                       Db.new_object (System.db sys) "employee"))
-             with
-             | Ok a -> a
-             | Error e -> raise e))
-    in
-    let args = [ Value.Float 1. ] in
-    let mask = Array.length objs - 1 in
-    let (), ms =
-      time_ms (fun () ->
-          for k = 0 to shard_send_iters - 1 do
-            ignore
-              (Sentinel.Shard_pool.post pool objs.(k land mask) "set_salary"
-                 args)
-          done;
-          Sentinel.Shard_pool.drain pool)
-    in
-    Sentinel.Shard_pool.stop pool;
-    float_of_int shard_send_iters /. (ms /. 1000.)
-  in
-  let direct_eps =
+  let iters = if smoke then 40_000 else 200_000 in
+  let direct () =
     let db = System.db (payroll_watch ()) in
     let objs = Array.init 256 (fun _ -> Db.new_object db "employee") in
     let args = [ Value.Float 1. ] in
-    let (), ms =
-      time_ms (fun () ->
-          for k = 0 to shard_send_iters - 1 do
+    ( rate iters (fun () ->
+          for k = 0 to iters - 1 do
             ignore (Db.send db objs.(k land 255) "set_salary" args)
-          done)
-    in
-    float_of_int shard_send_iters /. (ms /. 1000.)
+          done),
+      () )
   in
-  let shard_rows = List.map (fun n -> (n, shard_eps n)) [ 1; 2; 4 ] in
-  let shards1 = List.assoc 1 shard_rows in
-  (* the supervised row prices the watchdog: same workload, same stride,
+  let shard_counts = [ 1; 2; 4 ] in
+  (* the supervised arm prices the watchdog: same workload, same stride,
      plus a heartbeat-sweeping supervisor domain and the bounded-inbox
      accounting on every post *)
-  let supervised2 = shard_eps ~supervised:true 2 in
-  row "  direct (no pool) send %10.0f ev/s on %d core%s\n" direct_eps cores
+  let r =
+    trials
+      ((("direct", direct)
+       :: List.map
+            (fun n -> (string_of_int n, pool_send_eps ~iters n))
+            shard_counts)
+      @ [
+          ( "supervised",
+            pool_send_eps ~supervision:Pool.default_supervision ~iters 2 );
+        ])
+  in
+  let eps k = fst (List.assoc k r) in
+  let direct_eps = eps "direct" and shards1 = eps "1" and shards2 = eps "2" in
+  let supervised2 = eps "supervised" in
+  let vs_unsupervised = paired ( /. ) supervised2 shards2 in
+  row "  direct (no pool) send %10.0f ev/s on %d core%s\n" direct_eps.median
+    cores
     (if cores = 1 then "" else "s");
-  List.iter
-    (fun (n, eps) ->
-      row "  shards=%d  send %10.0f ev/s  (%.2fx vs shards=1)\n" n eps
-        (eps /. shards1))
-    shard_rows;
+  let shard_rows =
+    List.map
+      (fun n ->
+        let e = eps (string_of_int n) in
+        let speedup = paired ( /. ) e shards1 in
+        row "  shards=%d  send %10.0f ev/s  (%.2fx vs shards=1)\n" n e.median
+          speedup.median;
+        Obj
+          ([ ("shards", Int n) ]
+          @ timed "send_events_per_sec" e
+          @ timed "speedup_vs_1" speedup))
+      shard_counts
+  in
   row "  shards=2 supervised %8.0f ev/s  (%.2fx vs unsupervised)\n"
-    supervised2
-    (supervised2 /. List.assoc 2 shard_rows);
-  let oc = open_out "BENCH_oltp.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E-oltp\",\n  \"rw_iters\": %d,\n  \"send_iters\": \
-     %d,\n  \"objects\": %d,\n  \"workload\": \"wide passive class, hot \
-     middle attribute via pre-resolved slot handles; bytes are heap bytes \
-     allocated per op\",\n  \"query_probe_per_candidate\": %b,\n  \
-     \"cores\": %d,\n  \"shards\": {\"send_iters\": %d, \
-     \"direct_send_events_per_sec\": %.0f, \"rows\": [%s], \
-     \"supervised\": {\"shards\": 2, \"send_events_per_sec\": %.0f, \
-     \"ratio_vs_unsupervised\": %.3f}},\n  \"rows\": [\n"
-    rw_iters send_iters n_objects (query_probes = 100) cores shard_send_iters
-    direct_eps
-    (String.concat ", "
-       (List.map
-          (fun (n, eps) ->
-            Printf.sprintf
-              "{\"shards\": %d, \"send_events_per_sec\": %.0f, \
-               \"speedup_vs_1\": %.2f}"
-              n eps (eps /. shards1))
-          shard_rows))
-    supervised2
-    (supervised2 /. List.assoc 2 shard_rows);
-  List.iteri
-    (fun i (size, g, gb, s, sb, snd_, sndb, gs, ss, c, cb) ->
-      Printf.fprintf oc
-        "    {\"attrs\": %d, \"get_ops_per_sec\": %.0f, \
-         \"get_bytes_per_op\": %.1f, \"set_ops_per_sec\": %.0f, \
-         \"set_bytes_per_op\": %.1f, \"send_ops_per_sec\": %.0f, \
-         \"send_bytes_per_op\": %.1f, \"get_string_ops_per_sec\": %.0f, \
-         \"set_string_ops_per_sec\": %.0f, \"create_ops_per_sec\": %.0f, \
-         \"create_bytes_per_obj\": %.0f}%s\n"
-        size g gb s sb snd_ sndb gs ss c cb
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  row "  wrote BENCH_oltp.json\n";
-  (* CI regression gates (smoke runs only) *)
-  if smoke then begin
-    if query_probes <> 100 then begin
-      row "  FAIL: payroll select fetched %d objects for 100 candidates\n"
-        query_probes;
-      exit 1
-    end;
-    (* shards axis gates: the 1-shard pool must not tax the single-threaded
-       path, and adding a shard must actually scale where cores exist. *)
-    if shards1 < 0.95 *. direct_eps then begin
-      row "  FAIL: shards=1 pool send %.0f ev/s below 95%% of the direct \
-           path %.0f ev/s\n"
-        shards1 direct_eps;
-      exit 1
-    end
-    else row "  bench-smoke gate: shards=1 within 5%% of direct sends (ok)\n";
-    let shards2 = List.assoc 2 shard_rows in
-    if cores >= 2 then begin
-      if shards2 < 1.6 *. shards1 then begin
-        row "  FAIL: shards=2 send %.0f ev/s below 1.6x shards=1 %.0f ev/s\n"
-          shards2 shards1;
-        exit 1
-      end
-      else row "  bench-smoke gate: shards=2 >= 1.6x shards=1 (ok)\n";
-      (* supervision must be close to free on the happy path: the watchdog
-         sweeps and the bounded-inbox bookkeeping ride on every send *)
-      if supervised2 < 0.95 *. shards2 then begin
-        row "  FAIL: supervised shards=2 send %.0f ev/s below 95%% of \
-             unsupervised %.0f ev/s\n"
-          supervised2 shards2;
-        exit 1
-      end
-      else
-        row "  bench-smoke gate: supervised shards=2 within 5%% of \
-             unsupervised (ok)\n"
-    end
-    else
-      row "  bench-smoke gate: shards=2 scaling not gated on %d core\n" cores
-  end
+    supervised2.median vs_unsupervised.median;
+  write_bench ~experiment:"E-oltp" "BENCH_oltp.json"
+    [
+      ("rw_iters", Int rw_iters); ("send_iters", Int send_iters);
+      ("objects", Int n_objects);
+      ( "workload",
+        Str
+          "wide passive class, hot middle attribute via pre-resolved slot \
+           handles; bytes are heap bytes allocated per op" );
+      ("query_probe_per_candidate", Bool (query_probes = 100));
+      ( "shards",
+        Obj
+          ([ ("send_iters", Int iters) ]
+          @ timed "direct_send_events_per_sec" direct_eps
+          @ [
+              ("rows", List shard_rows);
+              ( "supervised",
+                Obj
+                  ([ ("shards", Int 2) ]
+                  @ timed "send_events_per_sec" supervised2
+                  @ timed "ratio_vs_unsupervised" vs_unsupervised) );
+            ]) );
+      ("rows", List rows);
+    ];
+  (* the 1-shard pool must not tax the single-threaded path, adding a shard
+     must actually scale where cores exist, and supervision must be close
+     to free on the happy path *)
+  check
+    ([
+       {
+         name = "payroll select object fetches for 100 candidates";
+         value = float_of_int query_probes;
+         cmp = Exactly;
+         bound = 100.;
+         detail = "one fetch per candidate";
+       };
+       ratio_gate "shards=1 pool send vs direct send" shards1 direct_eps 0.95;
+     ]
+    @ on_multicore
+        [
+          ratio_gate "shards=2 vs shards=1 send" shards2 shards1 1.6;
+          ratio_gate "supervised vs unsupervised shards=2 send" supervised2
+            shards2 0.95;
+        ])
 
 (* ------------------------------------------------------------------------- *)
 (* E-obs: observability overhead (metrics registry + cascade tracer)          *)
@@ -1651,106 +1561,120 @@ let e_oltp () =
    implementation.  There is no un-instrumented binary to diff against, so
    the disabled overhead is *derived*: the measured cost of that gate
    primitive, times the gates an operation crosses, over the operation's own
-   latency.  The off-vs-off spread of repeated runs is printed next to it as
-   the noise floor — wall-clock diffs in the low single digits at these op
-   rates are dominated by it, which is exactly why the CI gate runs on the
-   derived number.  Enabled overhead (metrics, tracing) is measured
+   latency.  The off-vs-off spread of two interleaved arms is printed next
+   to it as the noise floor — wall-clock diffs in the low single digits at
+   these op rates are dominated by it, which is exactly why the CI gate runs
+   on the derived number.  Enabled overhead (metrics, tracing) is measured
    directly. *)
 let e_obs () =
   header "E-obs: observability overhead (metrics + tracing on the oltp micro-bench)";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let iters = if smoke then 200_000 else 1_000_000 in
   let send_iters = if smoke then 40_000 else 200_000 in
   let gate_iters = if smoke then 10_000_000 else 50_000_000 in
-  let n_objects = 200 in
   Obs.Metrics.disable ();
   Obs.Trace.disable ();
-  let db = Db.create () in
-  let size = 100 in
-  let hot = Printf.sprintf "a%d" (size / 2) in
-  Db.define_class db
-    (Schema.define "wide"
-       ~attrs:(List.init size (fun i -> (Printf.sprintf "a%d" i, Value.Int 0)))
-       ~methods:[ ("poke", Workloads.Dsl.setter hot) ]);
-  let objs = Array.init n_objects (fun _ -> Db.new_object db "wide") in
-  let slot = Db.resolve db "wide" hot in
-  let next =
-    let i = ref 0 in
-    fun () ->
-      let o = Array.unsafe_get objs (!i land (16 - 1)) in
-      incr i;
-      o
-  in
+  let db = wide_db 100 in
+  let slot, next = wide_objects db 100 200 in
   let one = Value.Int 1 in
-  (* best of 3: overhead ratios compare each mode's attainable rate, not its
-     scheduling jitter *)
-  let ops iters f =
-    let best = ref 0. in
-    for _ = 1 to 3 do
-      let (), ms = time_ms (fun () -> for _ = 1 to iters do f () done) in
-      best := Float.max !best (float_of_int iters /. ms *. 1000.)
-    done;
-    !best
-  in
-  let get () = ignore (Db.slot_get db (next ()) slot) in
-  let set () = Db.slot_set db (next ()) slot one in
   let args = [ one ] in
-  let send () = ignore (Db.send db (next ()) "poke" args) in
-  let mode name =
-    let g = ops iters get and s = ops iters set and d = ops send_iters send in
-    row "  %-12s get %11.0f/s  set %11.0f/s  send %10.0f/s\n" name g s d;
-    (g, s, d)
+  (* name, iterations, operation, gates it crosses: slot_get/slot_set are
+     one wrapper each; a send crosses its own wrapper plus the slot write
+     inside the method, with one spare for the occurrence path of reactive
+     receivers *)
+  let ops =
+    [
+      ("get", iters, (fun () -> ignore (Db.slot_get db (next ()) slot)), 1);
+      ("set", iters, (fun () -> Db.slot_set db (next ()) slot one), 1);
+      ( "send",
+        send_iters,
+        (fun () -> ignore (Db.send db (next ()) "poke" args)),
+        3 );
+    ]
   in
-  let g0, s0, d0 = mode "off" in
-  let g1, s1, d1 = mode "off-again" in
-  Obs.Metrics.enable ();
-  Obs.Metrics.reset ();
-  let gm, sm, dm = mode "metrics-on" in
-  Obs.Metrics.disable ();
-  Obs.Trace.enable ();
-  Obs.Trace.clear ();
-  let gt, st, dt = mode "trace-on" in
-  Obs.Trace.disable ();
+  let modes =
+    [
+      ("off", `Off); ("off-again", `Off); ("metrics", `Metrics);
+      ("trace", `Trace);
+    ]
+  in
+  let in_mode mode n f () =
+    (match mode with
+    | `Off -> ()
+    | `Metrics ->
+      Obs.Metrics.enable ();
+      Obs.Metrics.reset ()
+    | `Trace ->
+      Obs.Trace.enable ();
+      Obs.Trace.clear ());
+    let ops = rate n (fun () -> for _ = 1 to n do f () done) in
+    Obs.Metrics.disable ();
+    Obs.Trace.disable ();
+    (ops, ())
+  in
   (* The gate primitive (one ref load + branch), isolated from its
-     measurement loop by subtracting an empty loop of the same trip count;
-     best of 3 for both, and floored at a conservative 0.1 ns so a noisy
-     subtraction cannot flatter the estimate to zero. *)
+     measurement loop by subtracting an empty loop of the same trip count,
+     and floored at a conservative 0.1 ns so a noisy subtraction cannot
+     flatter the estimate to zero. *)
   let sink = ref 0 in
-  let loop_ns body =
-    let best = ref Float.infinity in
-    for _ = 1 to 3 do
-      let (), ms = time_ms (fun () -> for _ = 1 to gate_iters do body () done) in
-      best := Float.min !best (ms *. 1e6 /. float_of_int gate_iters)
-    done;
-    !best
+  let loop_ns body () =
+    let (), ms = time_ms (fun () -> for _ = 1 to gate_iters do body () done) in
+    (ms *. 1e6 /. float_of_int gate_iters, ())
   in
-  let empty_ns = loop_ns (fun () -> ()) in
-  let gated_ns = loop_ns (fun () -> if !Obs.armed then incr sink) in
-  let gate_ns = Float.max 0.1 (gated_ns -. empty_ns) in
-  (* Gates crossed per operation: slot_get/slot_set are one wrapper each; a
-     send crosses its own wrapper plus the slot write inside the method, with
-     one spare for the occurrence path of reactive receivers. *)
-  let derived base gates = gate_ns *. float_of_int gates /. (1e9 /. base) *. 100. in
-  let dg = derived g0 1 and ds = derived s0 1 and dd = derived d0 3 in
-  let noise base v = Float.abs (v -. base) /. base *. 100. in
-  let enabled base v = (base /. v -. 1.) *. 100. in
-  row "  gate primitive: %.2f ns/check\n" gate_ns;
-  row "  disabled overhead (derived): get %.3f%%  set %.3f%%  send %.3f%%\n" dg ds dd;
-  row "  off-vs-off noise floor:      get %.1f%%  set %.1f%%  send %.1f%%\n"
-    (noise g0 g1) (noise s0 s1) (noise d0 d1);
-  row "  metrics-on overhead:         get %.1f%%  set %.1f%%  send %.1f%%\n"
-    (enabled g0 gm) (enabled s0 sm) (enabled d0 dm);
-  row "  trace-on overhead:           get %.1f%%  set %.1f%%  send %.1f%%\n"
-    (enabled g0 gt) (enabled s0 st) (enabled d0 dt);
+  let r =
+    trials
+      (List.concat_map
+         (fun (m, mode) ->
+           List.map (fun (o, n, f, _) -> (m ^ " " ^ o, in_mode mode n f)) ops)
+         modes
+      @ [
+          ("empty", loop_ns (fun () -> ()));
+          ("gated", loop_ns (fun () -> if !Obs.armed then incr sink));
+        ])
+  in
+  let st k = fst (List.assoc k r) in
+  let ops_in m o = st (m ^ " " ^ o) in
+  List.iter
+    (fun (m, _) ->
+      row "  %-12s get %11.0f/s  set %11.0f/s  send %10.0f/s\n" m
+        (ops_in m "get").median (ops_in m "set").median
+        (ops_in m "send").median)
+    modes;
+  let gate_ns =
+    paired (fun g e -> Float.max 0.1 (g -. e)) (st "gated") (st "empty")
+  in
+  let per_op f = List.map (fun (o, _, _, gates) -> (o, f o gates)) ops in
+  let derived =
+    per_op (fun o gates ->
+        paired
+          (fun ns base -> ns *. float_of_int gates /. (1e9 /. base) *. 100.)
+          gate_ns (ops_in "off" o))
+  in
+  let vs_off f m = per_op (fun o _ -> paired f (ops_in "off" o) (ops_in m o)) in
+  let noise =
+    vs_off (fun base v -> Float.abs (v -. base) /. base *. 100.) "off-again"
+  in
+  let enabled = vs_off (fun base v -> (base /. v -. 1.) *. 100.) in
+  let metrics_on = enabled "metrics" and trace_on = enabled "trace" in
+  let pcts label prec stats =
+    row "  %-29s%s\n" label
+      (String.concat "  "
+         (List.map
+            (fun (o, s) -> Printf.sprintf "%s %.*f%%" o prec s.median)
+            stats))
+  in
+  row "  gate primitive: %.2f ns/check\n" gate_ns.median;
+  pcts "disabled overhead (derived):" 3 derived;
+  pcts "off-vs-off noise floor:" 1 noise;
+  pcts "metrics-on overhead:" 1 metrics_on;
+  pcts "trace-on overhead:" 1 trace_on;
   (* A representative cascade for the CI artifact: banking deposit->withdraw
      in deferred coupling inside one explicit transaction, so the trace
      spans send, routing, detection, scheduling and firing. *)
   let sample_db = Db.create () in
-  let sys = System.create sample_db in
+  let sys = noop_system sample_db in
   Workloads.Banking.install sample_db;
   let rng = Prng.create 7 in
   let accounts = Workloads.Banking.populate sample_db rng ~accounts:4 in
-  System.register_action sys "noop" (fun _ _ -> ());
   ignore
     (System.create_rule sys ~name:"depwit" ~coupling:Sentinel.Coupling.Deferred
        ~monitor_classes:[ Workloads.Banking.account_class ]
@@ -1761,51 +1685,56 @@ let e_obs () =
        ~condition:"true" ~action:"noop" ());
   Obs.Trace.enable ();
   Obs.Trace.clear ();
-  (match
-     Transaction.atomically sample_db (fun () ->
+  ok
+    (Transaction.atomically sample_db (fun () ->
          ignore (Db.send sample_db accounts.(0) "deposit" [ Value.Float 10. ]);
-         ignore (Db.send sample_db accounts.(0) "withdraw" [ Value.Float 5. ]))
-   with
-  | Ok () -> ()
-  | Error e -> raise e);
+         ignore
+           (Db.send sample_db accounts.(0) "withdraw" [ Value.Float 5. ])));
   Obs.Trace.disable ();
-  let sample = Obs.Trace.to_chrome_json () in
-  let oc = open_out "TRACE_sample.json" in
-  output_string oc sample;
-  close_out oc;
+  Out_channel.with_open_text "TRACE_sample.json" (fun oc ->
+      output_string oc (Obs.Trace.to_chrome_json ()));
   row "  wrote TRACE_sample.json (%d spans)\n" (List.length (Obs.Trace.spans ()));
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E-obs\",\n  \"rw_iters\": %d,\n  \"send_iters\": \
-     %d,\n  \"workload\": \"E-oltp wide class (100 attrs, slot layout); \
-     disabled overhead derived as gate_ns x gates / op_ns; enabled overhead \
-     measured best-of-3\",\n  \"gate_ns\": %.3f,\n  \
-     \"disabled_overhead_pct\": {\"get\": %.4f, \"set\": %.4f, \"send\": \
-     %.4f},\n  \"noise_floor_pct\": {\"get\": %.2f, \"set\": %.2f, \"send\": \
-     %.2f},\n  \"metrics_on_overhead_pct\": {\"get\": %.2f, \"set\": %.2f, \
-     \"send\": %.2f},\n  \"trace_on_overhead_pct\": {\"get\": %.2f, \"set\": \
-     %.2f, \"send\": %.2f},\n  \"rows\": [\n\
-    \    {\"mode\": \"off\", \"get_ops_per_sec\": %.0f, \"set_ops_per_sec\": \
-     %.0f, \"send_ops_per_sec\": %.0f},\n\
-    \    {\"mode\": \"metrics\", \"get_ops_per_sec\": %.0f, \
-     \"set_ops_per_sec\": %.0f, \"send_ops_per_sec\": %.0f},\n\
-    \    {\"mode\": \"trace\", \"get_ops_per_sec\": %.0f, \
-     \"set_ops_per_sec\": %.0f, \"send_ops_per_sec\": %.0f}\n  ]\n}\n"
-    iters send_iters gate_ns dg ds dd (noise g0 g1) (noise s0 s1) (noise d0 d1)
-    (enabled g0 gm) (enabled s0 sm) (enabled d0 dm) (enabled g0 gt)
-    (enabled s0 st) (enabled d0 dt) g0 s0 d0 gm sm dm gt st dt;
-  close_out oc;
-  row "  wrote BENCH_obs.json\n";
-  (* CI regression gate (smoke runs only): the disabled instrumentation must
-     stay within the 2%% budget on every hot operation. *)
-  if smoke then begin
-    if dg > 2. || ds > 2. || dd > 2. then begin
-      row "  FAIL: derived disabled overhead exceeds 2%% \
-           (get %.3f%%, set %.3f%%, send %.3f%%)\n" dg ds dd;
-      exit 1
-    end
-    else row "  bench-smoke gate: disabled overhead <= 2%% on get/set/send (ok)\n"
-  end
+  let pct_obj stats = Obj (List.concat_map (fun (o, s) -> timed o s) stats) in
+  write_bench ~experiment:"E-obs" "BENCH_obs.json"
+    ([
+       ("rw_iters", Int iters); ("send_iters", Int send_iters);
+       ( "workload",
+         Str
+           "E-oltp wide class (100 attrs, slot layout); disabled overhead \
+            derived as gate_ns x gates / op_ns; enabled overhead measured \
+            directly; every figure is a median of interleaved trials" );
+     ]
+    @ timed "gate_ns" gate_ns
+    @ [
+        ("disabled_overhead_pct", pct_obj derived);
+        ("noise_floor_pct", pct_obj noise);
+        ("metrics_on_overhead_pct", pct_obj metrics_on);
+        ("trace_on_overhead_pct", pct_obj trace_on);
+        ( "rows",
+          List
+            (List.map
+               (fun m ->
+                 Obj
+                   (("mode", Str m)
+                   :: List.concat_map
+                        (fun (o, _, _, _) ->
+                          timed (o ^ "_ops_per_sec") (ops_in m o))
+                        ops))
+               [ "off"; "metrics"; "trace" ]) );
+      ]);
+  (* the disabled instrumentation must stay within the 2% budget on every
+     hot operation *)
+  check
+    (List.map
+       (fun (o, s) ->
+         {
+           name = "derived disabled overhead on " ^ o;
+           value = s.median;
+           cmp = At_most;
+           bound = 2.;
+           detail = "percent, median of trials";
+         })
+       derived)
 
 (* ------------------------------------------------------------------------- *)
 (* E-chaos: the price of supervision, restart latency, flood accounting      *)
@@ -1813,71 +1742,37 @@ let e_obs () =
 
 (* Three questions about the supervised shard pool: what the watchdog and
    the bounded-inbox accounting cost on the happy path (supervised vs plain
-   throughput, best-of-3 to shave scheduler noise), how fast a killed shard
-   is back (detection + teardown + fresh init, median of repeated kills),
-   and whether the flood counters stay honest under overload (every post is
-   accepted, shed, or parked — none unaccounted). *)
+   throughput, interleaved trials to shave scheduler noise), how fast a
+   killed shard is back (detection + teardown + fresh init, one kill per
+   trial), and whether the flood counters stay honest under overload (every
+   post is accepted, shed, or parked — none unaccounted). *)
 let e_chaos () =
   header "E-chaos: shard supervision overhead, restart latency, flood accounting";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let iters = if smoke then 20_000 else 100_000 in
-  let cores = Domain.recommended_domain_count () in
-  let init _pool _i =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let sys = System.create db in
-    System.register_action sys "noop" (fun _ _ -> ());
-    ignore
-      (System.create_rule sys ~name:"watch" ~monitor_classes:[ "employee" ]
-         ~event:(Expr.eom ~cls:"employee" "set_salary")
-         ~condition:"true" ~action:"noop" ());
-    sys
+  let r =
+    trials
+      [
+        ("plain", pool_send_eps ~iters 2);
+        ( "supervised",
+          pool_send_eps ~supervision:Pool.default_supervision ~iters 2 );
+      ]
   in
-  let eps ~supervised =
-    let supervision =
-      if supervised then Some Sentinel.Shard_pool.default_supervision
-      else None
-    in
-    let pool = Sentinel.Shard_pool.create ~shards:2 ?supervision ~init () in
-    let objs =
-      Array.concat
-        (List.init 2 (fun i ->
-             match
-               Sentinel.Shard_pool.run_on pool i (fun sys ->
-                   Array.init 128 (fun _ ->
-                       Db.new_object (System.db sys) "employee"))
-             with
-             | Ok a -> a
-             | Error e -> raise e))
-    in
-    let args = [ Value.Float 1. ] in
-    let (), ms =
-      time_ms (fun () ->
-          for k = 0 to iters - 1 do
-            ignore
-              (Sentinel.Shard_pool.post pool objs.(k land 255) "set_salary"
-                 args)
-          done;
-          Sentinel.Shard_pool.drain pool)
-    in
-    Sentinel.Shard_pool.stop pool;
-    float_of_int iters /. (ms /. 1000.)
-  in
-  let best f = max (f ()) (max (f ()) (f ())) in
-  let plain = best (fun () -> eps ~supervised:false) in
-  let supervised = best (fun () -> eps ~supervised:true) in
-  let ratio = supervised /. plain in
-  row "  shards=2 plain      %10.0f ev/s (best of 3)\n" plain;
-  row "  shards=2 supervised %10.0f ev/s (best of 3, %.2fx)\n" supervised
-    ratio;
+  let plain = fst (List.assoc "plain" r)
+  and supervised = fst (List.assoc "supervised" r) in
+  let ratio = paired ( /. ) supervised plain in
+  row "  shards=2 plain      %10.0f ev/s (median of %d)\n" plain.median
+    n_trials;
+  row "  shards=2 supervised %10.0f ev/s (median of %d, %.2fx)\n"
+    supervised.median n_trials ratio.median;
+  let init _ _ = payroll_watch () in
   (* restart latency: kill -> heartbeat detects the dead worker -> teardown
-     -> fresh init -> ready.  Median of 5 kills. *)
+     -> fresh init -> ready *)
   let restart_ms =
     let pool =
-      Sentinel.Shard_pool.create ~shards:2
+      Pool.create ~shards:2
         ~supervision:
           {
-            Sentinel.Shard_pool.default_supervision with
+            Pool.default_supervision with
             heartbeat_interval_ms = 2;
             (* repeated deliberate kills must not exhaust the budget and
                degrade the shard mid-measurement *)
@@ -1885,105 +1780,96 @@ let e_chaos () =
           }
         ~init ()
     in
-    let kills = 5 in
-    let samples =
-      Array.init kills (fun k ->
-          let t0 = Obs.Clock.now_ns () in
-          (match Sentinel.Shard_pool.kill pool 0 with
-          | Ok () -> ()
-          | Error e ->
-            failwith (Sentinel.Shard_pool.error_to_string e));
-          let rec wait () =
-            let st = Sentinel.Shard_pool.stats pool in
-            if
-              st.Sentinel.Shard_pool.shard_restarts.(0) >= k + 1
-              && Sentinel.Shard_pool.shard_state pool 0 = `Ready
-            then ()
-            else begin
-              Unix.sleepf 0.0005;
-              wait ()
-            end
-          in
-          wait ();
-          (Obs.Clock.now_ns () -. t0) /. 1e6)
+    let restarts () = (Pool.stats pool).Pool.shard_restarts.(0) in
+    let kill () =
+      let target = restarts () + 1 in
+      let (), ms =
+        time_ms (fun () ->
+            pool_ok (Pool.kill pool 0);
+            while restarts () < target || Pool.shard_state pool 0 <> `Ready do
+              Unix.sleepf 0.0005
+            done)
+      in
+      (ms, ())
     in
-    Sentinel.Shard_pool.drain pool;
-    Sentinel.Shard_pool.stop pool;
-    Array.sort compare samples;
-    samples.(kills / 2)
+    let ms = fst (List.assoc "restart" (trials [ ("restart", kill) ])) in
+    Pool.drain pool;
+    Pool.stop pool;
+    ms
   in
-  row "  restart latency (kill -> ready, median of 5): %.1f ms\n" restart_ms;
+  row "  restart latency (kill -> ready, median of %d): %.1f ms\n" n_trials
+    restart_ms.median;
   (* flood accounting: hold the worker, overflow a bounded inbox, and check
      the books — posted = accepted + shed, and every accepted job runs *)
   let flood_posted = 10_000 in
   let accepted, shed_count, ran =
     let pool =
-      Sentinel.Shard_pool.create ~shards:2 ~inbox_capacity:256
-        ~backpressure:Sentinel.Shard_pool.Shed_newest ~init ()
+      Pool.create ~shards:2 ~inbox_capacity:256 ~backpressure:Pool.Shed_newest
+        ~init ()
     in
     let gate = Atomic.make false in
-    (match
-       Sentinel.Shard_pool.post_on pool 0 (fun _ ->
+    pool_ok
+      (Pool.post_on pool 0 (fun _ ->
            while not (Atomic.get gate) do
              Domain.cpu_relax ()
-           done)
-     with
-    | Ok () -> ()
-    | Error e -> failwith (Sentinel.Shard_pool.error_to_string e));
+           done));
     let ran = Atomic.make 0 in
     let accepted = ref 0 and shed = ref 0 in
     for _ = 1 to flood_posted do
-      match Sentinel.Shard_pool.post_on pool 0 (fun _ -> Atomic.incr ran) with
+      match Pool.post_on pool 0 (fun _ -> Atomic.incr ran) with
       | Ok () -> incr accepted
       | Error _ -> incr shed
     done;
     Atomic.set gate true;
-    Sentinel.Shard_pool.drain pool;
-    let st = Sentinel.Shard_pool.stats pool in
-    Sentinel.Shard_pool.stop pool;
-    ignore st;
+    Pool.drain pool;
+    Pool.stop pool;
     (!accepted, !shed, Atomic.get ran)
   in
   row "  flood: %d posted = %d accepted + %d shed; %d accepted jobs ran\n"
     flood_posted accepted shed_count ran;
-  let oc = open_out "BENCH_chaos.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E-chaos\",\n  \"cores\": %d,\n  \"send_iters\": \
-     %d,\n  \"plain_events_per_sec\": %.0f,\n  \
-     \"supervised_events_per_sec\": %.0f,\n  \
-     \"supervision_overhead_ratio\": %.3f,\n  \"restart_ms\": %.1f,\n  \
-     \"flood\": {\"posted\": %d, \"accepted\": %d, \"shed\": %d, \"ran\": \
-     %d}\n}\n"
-    cores iters plain supervised ratio restart_ms flood_posted accepted
-    shed_count ran;
-  close_out oc;
-  row "  wrote BENCH_chaos.json\n";
-  if smoke then begin
-    if accepted + shed_count <> flood_posted || ran <> accepted then begin
-      row "  FAIL: flood accounting leaked jobs (%d posted, %d accepted, \
-           %d shed, %d ran)\n"
-        flood_posted accepted shed_count ran;
-      exit 1
-    end
-    else row "  bench-smoke gate: flood accounting exact (ok)\n";
-    if restart_ms > 1_000. then begin
-      row "  FAIL: restart latency %.1f ms exceeds 1000 ms\n" restart_ms;
-      exit 1
-    end
-    else row "  bench-smoke gate: restart under a second (ok)\n";
-    if cores >= 2 then begin
-      if ratio < 0.90 then begin
-        row "  FAIL: supervised throughput %.2fx of plain (floor 0.90)\n"
-          ratio;
-        exit 1
-      end
-      else
-        row "  bench-smoke gate: supervision overhead within 10%% (ok)\n"
-    end
-    else
-      row "  bench-smoke gate: supervision overhead not gated on %d core\n"
-        cores
-  end
+  write_bench ~experiment:"E-chaos" "BENCH_chaos.json"
+    ([ ("send_iters", Int iters) ]
+    @ timed "plain_events_per_sec" plain
+    @ timed "supervised_events_per_sec" supervised
+    @ timed "supervision_overhead_ratio" ratio
+    @ timed "restart_ms" restart_ms
+    @ [
+        ( "flood",
+          Obj
+            [
+              ("posted", Int flood_posted); ("accepted", Int accepted);
+              ("shed", Int shed_count); ("ran", Int ran);
+            ] );
+      ]);
+  check
+    ([
+       {
+         name = "flood posts accounted";
+         value = float_of_int (accepted + shed_count);
+         cmp = Exactly;
+         bound = float_of_int flood_posted;
+         detail = "accepted + shed";
+       };
+       {
+         name = "flood accepted jobs that ran";
+         value = float_of_int ran;
+         cmp = Exactly;
+         bound = float_of_int accepted;
+         detail = "every accepted job runs";
+       };
+       {
+         name = "restart latency ms";
+         value = restart_ms.median;
+         cmp = At_most;
+         bound = 1_000.;
+         detail = "kill -> ready, median of trials";
+       };
+     ]
+    @ on_multicore
+        [
+          ratio_gate "supervised vs plain shards=2 throughput" supervised plain
+            0.90;
+        ])
 
 (* ------------------------------------------------------------------------- *)
 (* E-ingest: batched ingestion pipeline                                       *)
@@ -2001,203 +1887,103 @@ let e_ingest () =
   header
     "E-ingest: batched ingestion (vectorized send, route coalescing, \
      one message per shard)";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let events = if smoke then 2_048 else 16_384 in
   let tickers = 64 in
-  let run ~shards ~batch =
-    let paths =
-      Array.init shards (fun _ -> Filename.temp_file "sentinel_ingest" ".wal")
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths)
-      (fun () ->
-        let fired = Array.init shards (fun _ -> Atomic.make 0) in
-        let pool =
-          (* fsync-per-commit consumers drain slowly at batch=1: block on a
-             full inbox for as long as it takes rather than shedding the
-             measured workload *)
-          Sentinel.Shard_pool.create ~shards
-            ~backpressure:(Block { max_wait_ms = 600_000 })
-            ~init:(fun _ i ->
-              let db = Db.create () in
-              Workloads.Stock_market.install db;
-              let sys = System.create db in
-              ignore (System.attach_wal ~sync:true sys paths.(i));
-              System.register_action sys "count" (fun _ _ ->
-                  Atomic.incr fired.(i));
-              ignore
-                (System.create_rule sys ~name:"price-watch"
-                   ~monitor_classes:[ Workloads.Stock_market.stock_class ]
-                   ~event:
-                     (Expr.eom ~cls:Workloads.Stock_market.stock_class
-                        "set_price")
-                   ~condition:"true" ~action:"count" ());
-              sys)
-            ()
-        in
-        let per = max 1 (tickers / shards) in
-        let markets =
-          List.init shards (fun i ->
-              match
-                Sentinel.Shard_pool.run_on pool i (fun sys ->
-                    Workloads.Stock_market.populate (System.db sys)
-                      (Prng.create (11 + i))
-                      ~stocks:per ~indexes:0 ~portfolios:0)
-              with
-              | Ok m -> m
-              | Error e -> raise e)
-        in
-        let market =
-          {
-            Workloads.Stock_market.stocks =
-              Array.concat
-                (List.map
-                   (fun m -> m.Workloads.Stock_market.stocks)
-                   markets);
-            indexes = [||];
-            portfolios = [||];
-          }
-        in
-        let n_tickers = Array.length market.Workloads.Stock_market.stocks in
+  let run ~shards ~batch () =
+    with_price_pool ~shards ~tickers ~seed:11 (fun pool market ->
         let n_batches = max 1 (events / batch) in
         let feed =
-          Workloads.Stock_market.tick_batches (Prng.create 17) market
-            ~tickers:n_tickers ~rate:batch ~batches:n_batches
+          Market.tick_batches (Prng.create 17) market
+            ~tickers:(Array.length market.Market.stocks)
+            ~rate:batch ~batches:n_batches
         in
         let total = n_batches * batch in
-        let (), ms =
-          time_ms (fun () ->
-              List.iter
-                (fun evs ->
-                  match Sentinel.Shard_pool.ingest pool evs with
-                  | Ok () -> ()
-                  | Error e ->
-                    failwith (Sentinel.Shard_pool.error_to_string e))
-                feed;
-              Sentinel.Shard_pool.drain pool)
+        let eps =
+          rate total (fun () ->
+              List.iter (fun evs -> pool_ok (Pool.ingest pool evs)) feed;
+              Pool.drain pool)
         in
-        let st = Sentinel.Shard_pool.stats pool in
-        let coalesced = ref 0 and fsyncs = ref 0 in
-        for i = 0 to shards - 1 do
-          let s = System.stats (Sentinel.Shard_pool.system pool i) in
-          coalesced := !coalesced + s.System.coalesced_probes;
-          fsyncs := !fsyncs + s.System.wal_fsyncs;
-          match
-            Sentinel.Shard_pool.run_on pool i (fun sys ->
-                System.detach_wal sys)
-          with
-          | Ok () -> ()
-          | Error e -> raise e
-        done;
-        let failed =
-          Array.fold_left ( + ) 0 st.Sentinel.Shard_pool.shard_failed
+        let st = Pool.stats pool in
+        if Array.exists (( <> ) 0) st.Pool.shard_failed then
+          failwith "E-ingest: a shard contained failures";
+        let stats =
+          List.init shards (fun i -> System.stats (Pool.system pool i))
         in
-        Sentinel.Shard_pool.stop pool;
-        (* in-bench parity smoke: exactly one firing per event, no contained
-           failures — the cheap shadow of the differential suite *)
-        let total_fired =
-          Array.fold_left (fun a c -> a + Atomic.get c) 0 fired
-        in
-        if failed <> 0 || total_fired <> total then
-          failwith
-            (Printf.sprintf
-               "E-ingest parity: %d fired / %d failed for %d events"
-               total_fired failed total);
-        ( float_of_int total /. (ms /. 1000.),
-          !coalesced,
-          st.Sentinel.Shard_pool.mpsc_pushes,
-          !fsyncs,
+        let sum f = List.fold_left (fun a s -> a + f s) 0 stats in
+        ( ( eps,
+            ( sum (fun s -> s.System.coalesced_probes),
+              st.Pool.mpsc_pushes,
+              sum (fun s -> s.System.wal_fsyncs),
+              total ) ),
           total ))
+  in
+  let cells =
+    List.concat_map
+      (fun shards -> List.map (fun batch -> (shards, batch)) [ 1; 8; 64; 256 ])
+      [ 1; 2; 4 ]
+  in
+  let key (shards, batch) = Printf.sprintf "%d %d" shards batch in
+  let r =
+    trials
+      (List.map
+         (fun (shards, batch) -> (key (shards, batch), run ~shards ~batch))
+         cells)
+  in
+  let eps shards batch = fst (List.assoc (key (shards, batch)) r) in
+  let pushes shards batch =
+    let _, pushes, _, _ = (snd (List.assoc (key (shards, batch)) r)).(0) in
+    pushes
   in
   row "  %6s %6s  %12s  %10s  %10s  %8s  %8s\n" "shards" "batch" "ev/s"
     "vs batch=1" "coalesced" "pushes" "fsyncs";
-  let cells =
-    List.concat_map
-      (fun shards ->
-        let rows =
-          List.map
-            (fun batch ->
-              let eps, coalesced, pushes, fsyncs, total =
-                run ~shards ~batch
-              in
-              (shards, batch, eps, coalesced, pushes, fsyncs, total))
-            [ 1; 8; 64; 256 ]
-        in
-        let base =
-          match rows with (_, _, eps, _, _, _, _) :: _ -> eps | [] -> 1.
-        in
-        List.iter
-          (fun (_, batch, eps, coalesced, pushes, fsyncs, _) ->
-            row "  %6d %6d  %12.0f  %9.2fx  %10d  %8d  %8d\n" shards batch
-              eps (eps /. base) coalesced pushes fsyncs)
-          rows;
-        rows)
-      [ 1; 2; 4 ]
-  in
-  let eps_of shards batch =
-    List.find_map
-      (fun (s, b, eps, _, _, _, _) ->
-        if s = shards && b = batch then Some eps else None)
+  let rows =
+    List.map
+      (fun (shards, batch) ->
+        let e, sides = List.assoc (key (shards, batch)) r in
+        let coalesced, pushes, fsyncs, total = sides.(0) in
+        let speedup = paired ( /. ) e (eps shards 1) in
+        row "  %6d %6d  %12.0f  %9.2fx  %10d  %8d  %8d\n" shards batch e.median
+          speedup.median coalesced pushes fsyncs;
+        Obj
+          ([
+             ("shards", Int shards); ("batch", Int batch);
+             ("events", Int total);
+           ]
+          @ timed "events_per_sec" e
+          @ timed "speedup_vs_batch1" speedup
+          @ [
+              ("coalesced_probes", Int coalesced); ("mpsc_pushes", Int pushes);
+              ("fsyncs", Int fsyncs);
+            ]))
       cells
-    |> Option.get
   in
-  let pushes_of shards batch =
-    List.find_map
-      (fun (s, b, _, _, pushes, _, _) ->
-        if s = shards && b = batch then Some pushes else None)
-      cells
-    |> Option.get
-  in
-  let oc = open_out "BENCH_ingest.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E-ingest\",\n  \"events\": %d,\n  \"tickers\": \
-     %d,\n  \"workload\": \"stock_market tick batches (seeded PRNG), one \
-     reactive set_price rule per shard, per-shard WAL attached \
-     fsync-per-commit; Shard_pool.ingest = one transaction + one trace + \
-     one route-coalescing scope per shard sub-batch, flushed as one \
-     mailbox message per destination\",\n  \"rows\": [\n"
-    events tickers;
-  List.iteri
-    (fun i (shards, batch, eps, coalesced, pushes, fsyncs, total) ->
-      Printf.fprintf oc
-        "    {\"shards\": %d, \"batch\": %d, \"events\": %d, \
-         \"events_per_sec\": %.0f, \"speedup_vs_batch1\": %.2f, \
-         \"coalesced_probes\": %d, \"mpsc_pushes\": %d, \"fsyncs\": %d}%s\n"
-        shards batch total eps
-        (eps /. eps_of shards 1)
-        coalesced pushes fsyncs
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  row "  wrote BENCH_ingest.json\n";
-  if smoke then begin
-    (* the tentpole acceptance gate: batching must amortize the per-event
-       fixed costs at least 3x on one shard *)
-    let b1 = eps_of 1 1 and b64 = eps_of 1 64 in
-    if b64 < 3. *. b1 then begin
-      row "  FAIL: batch=64 ingest %.0f ev/s below 3x batch=1 %.0f ev/s\n"
-        b64 b1;
-      exit 1
-    end
-    else
-      row "  bench-smoke gate: batch=64 >= 3x batch=1 on one shard (%.1fx, \
-           ok)\n"
-        (b64 /. b1);
-    (* and ingest's one message per shard must cut mailbox traffic >= 8x *)
-    let p1 = pushes_of 4 1 and p64 = pushes_of 4 64 in
-    if p1 < 8 * p64 then begin
-      row "  FAIL: batch=64 mailbox pushes %d not >= 8x fewer than batch=1 \
-           %d\n"
-        p64 p1;
-      exit 1
-    end
-    else
-      row "  bench-smoke gate: cross-shard pushes coalesced %dx at batch=64 \
-           (ok)\n"
-        (p1 / max 1 p64)
-  end
+  write_bench ~experiment:"E-ingest" "BENCH_ingest.json"
+    [
+      ("events", Int events); ("tickers", Int tickers);
+      ( "workload",
+        Str
+          "stock_market tick batches (seeded PRNG), one reactive set_price \
+           rule per shard, per-shard WAL attached fsync-per-commit; \
+           Shard_pool.ingest = one transaction + one trace + one \
+           route-coalescing scope per shard sub-batch, flushed as one \
+           mailbox message per destination" );
+      ("rows", List rows);
+    ];
+  (* batching must amortize the per-event fixed costs at least 3x on one
+     shard, and ingest's one message per shard must cut mailbox traffic at
+     least 8x *)
+  check
+    [
+      ratio_gate "batch=64 vs batch=1 ingest on one shard" (eps 1 64)
+        (eps 1 1) 3.;
+      {
+        name = "4-shard mailbox pushes, batch=1 over batch=64";
+        value = float_of_int (pushes 4 1) /. float_of_int (pushes 4 64);
+        cmp = At_least;
+        bound = 8.;
+        detail = Printf.sprintf "%d vs %d pushes" (pushes 4 1) (pushes 4 64);
+      };
+    ]
 
 (* ------------------------------------------------------------------------- *)
 (* E-net: streaming ingestion over the wire protocol — a TCP server fronting
@@ -2206,87 +1992,31 @@ let e_ingest () =
 
 let e_net () =
   header "E-net: wire-protocol streaming ingestion (clients x batch x shards)";
-  let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let events = if smoke then 2_048 else 12_288 in
   let tickers = 64 in
-  let run ~shards ~clients ~batch =
-    let paths =
-      Array.init shards (fun _ -> Filename.temp_file "sentinel_net" ".wal")
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths)
-      (fun () ->
-        let fired = Array.init shards (fun _ -> Atomic.make 0) in
-        let pool =
-          (* group-commit journal + the pool's durability hook: a shard
-             seals (and fsyncs) whenever its mailbox drains, so a lone
-             serial client pays one fsync per flush while a concurrent
-             fleet shares one fsync per drained backlog — the axis the
-             16-client gate measures *)
-          Sentinel.Shard_pool.create ~shards
-            ~backpressure:(Block { max_wait_ms = 600_000 })
-            ~on_idle:(fun _ sys ->
-              match System.wal sys with
-              | Some _ ->
-                (* commit delay: linger before sealing so a concurrent
-                   fleet's staggered arrivals pile up behind one fsync;
-                   a lone serial client just pays the window *)
-                (try Unix.sleepf 0.0003 with Unix.Unix_error _ -> ());
-                System.sync_wal sys
-              | None -> ())
-            ~init:(fun _ i ->
-              let db = Db.create () in
-              Workloads.Stock_market.install db;
-              let sys = System.create db in
-              ignore
-                (System.attach_wal ~sync:true
-                   ~group_commit:
-                     { Oodb.Wal.max_batch = 256; max_wait_us = 50_000 }
-                   sys paths.(i));
-              System.register_action sys "count" (fun _ _ ->
-                  Atomic.incr fired.(i));
-              ignore
-                (System.create_rule sys ~name:"price-watch"
-                   ~monitor_classes:[ Workloads.Stock_market.stock_class ]
-                   ~event:
-                     (Expr.eom ~cls:Workloads.Stock_market.stock_class
-                        "set_price")
-                   ~condition:"true" ~action:"count" ());
-              sys)
-            ()
-        in
-        let per = max 1 (tickers / shards) in
-        let markets =
-          List.init shards (fun i ->
-              match
-                Sentinel.Shard_pool.run_on pool i (fun sys ->
-                    Workloads.Stock_market.populate (System.db sys)
-                      (Prng.create (31 + i))
-                      ~stocks:per ~indexes:0 ~portfolios:0)
-              with
-              | Ok m -> m
-              | Error e -> raise e)
-        in
-        let market =
-          {
-            Workloads.Stock_market.stocks =
-              Array.concat
-                (List.map
-                   (fun m -> m.Workloads.Stock_market.stocks)
-                   markets);
-            indexes = [||];
-            portfolios = [||];
-          }
-        in
-        let n_tickers = Array.length market.Workloads.Stock_market.stocks in
+  (* group-commit journal + the pool's durability hook: a shard seals (and
+     fsyncs) whenever its mailbox drains, so a lone serial client pays one
+     fsync per flush while a concurrent fleet shares one fsync per drained
+     backlog — the axis the 16-client gate measures *)
+  let on_idle _ sys =
+    match System.wal sys with
+    | Some _ ->
+      (* commit delay: linger before sealing so a concurrent fleet's
+         staggered arrivals pile up behind one fsync; a lone serial client
+         just pays the window *)
+      (try Unix.sleepf 0.0003 with Unix.Unix_error _ -> ());
+      System.sync_wal sys
+    | None -> ()
+  in
+  let run ~shards ~clients ~batch () =
+    with_price_pool ~shards ~tickers ~seed:31 ~on_idle
+      ~group_commit:{ Oodb.Wal.max_batch = 256; max_wait_us = 50_000 }
+      (fun pool market ->
         let server = Net.Server.create ~pool () in
         let port = Net.Server.port server in
-        let per_client = max 1 (events / clients) in
-        let n_batches = max 1 (per_client / batch) in
+        let n_batches = max 1 (max 1 (events / clients) / batch) in
         let total = clients * n_batches * batch in
         let rtt_sum = Array.make clients 0. in
-        let rtt_n = Array.make clients 0 in
         let worker k () =
           let client =
             Net.Sentinel_client.connect
@@ -2296,122 +2026,96 @@ let e_net () =
           Fun.protect
             ~finally:(fun () -> Net.Sentinel_client.close client)
             (fun () ->
-              let feed =
-                Workloads.Stock_market.tick_batches
-                  (Prng.create (101 + k))
-                  market ~tickers:n_tickers ~rate:batch ~batches:n_batches
-              in
-              List.iter
-                (fun evs ->
-                  List.iter (Net.Sentinel_client.send client) evs;
-                  let t0 = Unix.gettimeofday () in
-                  ignore (Net.Sentinel_client.flush client);
-                  rtt_sum.(k) <- rtt_sum.(k) +. (Unix.gettimeofday () -. t0);
-                  rtt_n.(k) <- rtt_n.(k) + 1)
-                feed)
+              Market.tick_batches
+                (Prng.create (101 + k))
+                market
+                ~tickers:(Array.length market.Market.stocks)
+                ~rate:batch ~batches:n_batches
+              |> List.iter (fun evs ->
+                     List.iter (Net.Sentinel_client.send client) evs;
+                     let (), ms =
+                       time_ms (fun () ->
+                           ignore (Net.Sentinel_client.flush client))
+                     in
+                     rtt_sum.(k) <- rtt_sum.(k) +. ms))
         in
-        let (), ms =
-          time_ms (fun () ->
-              let threads =
-                List.init clients (fun k -> Thread.create (worker k) ())
-              in
-              List.iter Thread.join threads;
-              Sentinel.Shard_pool.drain pool)
+        let eps =
+          rate total (fun () ->
+              List.init clients (fun k -> Thread.create (worker k) ())
+              |> List.iter Thread.join;
+              Pool.drain pool)
         in
-        let st = Net.Server.stats server in
+        (* wire parity: every event sent was acked and ingested *)
+        let ingested = (Net.Server.stats server).Net.Server.events_ingested in
         Net.Server.stop server;
-        for i = 0 to shards - 1 do
-          match
-            Sentinel.Shard_pool.run_on pool i (fun sys ->
-                System.detach_wal sys)
-          with
-          | Ok () -> ()
-          | Error e -> raise e
-        done;
-        Sentinel.Shard_pool.stop pool;
-        (* wire parity: every event sent was acked, ingested and fired its
-           rule exactly once — the cheap shadow of the differential suite *)
-        let total_fired =
-          Array.fold_left (fun a c -> a + Atomic.get c) 0 fired
-        in
-        if total_fired <> total || st.Net.Server.events_ingested <> total then
+        if ingested <> total then
           failwith
-            (Printf.sprintf
-               "E-net parity: %d fired / %d ingested for %d events sent"
-               total_fired st.Net.Server.events_ingested total);
+            (Printf.sprintf "E-net parity: %d ingested for %d events sent"
+               ingested total);
         let rtt_ms =
-          let s = Array.fold_left ( +. ) 0. rtt_sum in
-          let n = Array.fold_left ( + ) 0 rtt_n in
-          1000. *. s /. float_of_int (max 1 n)
+          Array.fold_left ( +. ) 0. rtt_sum
+          /. float_of_int (clients * n_batches)
         in
-        (float_of_int total /. (ms /. 1000.), rtt_ms, total))
+        ((eps, (rtt_ms, total)), total))
   in
-  row "  %6s %7s %6s  %12s  %11s  %10s\n" "shards" "clients" "batch" "ev/s"
-    "vs 1-client" "flush-rtt";
   let cells =
     List.concat_map
       (fun shards ->
         List.concat_map
           (fun batch ->
-            let rows =
-              List.map
-                (fun clients ->
-                  let eps, rtt, total = run ~shards ~clients ~batch in
-                  (shards, clients, batch, eps, rtt, total))
-                [ 1; 4; 16 ]
-            in
-            let base =
-              match rows with (_, _, _, eps, _, _) :: _ -> eps | [] -> 1.
-            in
-            List.iter
-              (fun (shards, clients, batch, eps, rtt, _) ->
-                row "  %6d %7d %6d  %12.0f  %10.2fx  %10s\n" shards clients
-                  batch eps (eps /. base) (fmt_ms rtt))
-              rows;
-            rows)
+            List.map (fun clients -> (shards, clients, batch)) [ 1; 4; 16 ])
           [ 1; 64 ])
       [ 1; 4 ]
+  in
+  let key (shards, clients, batch) =
+    Printf.sprintf "%d %d %d" shards clients batch
+  in
+  let r =
+    trials
+      (List.map
+         (fun ((shards, clients, batch) as c) ->
+           (key c, run ~shards ~clients ~batch))
+         cells)
+  in
+  let eps c = fst (List.assoc (key c) r) in
+  row "  %6s %7s %6s  %12s  %11s  %10s\n" "shards" "clients" "batch" "ev/s"
+    "vs 1-client" "flush-rtt";
+  let rows =
+    List.map
+      (fun ((shards, clients, batch) as c) ->
+        let e, sides = List.assoc (key c) r in
+        let rtt = stat (Array.map fst sides) and total = snd sides.(0) in
+        let speedup = paired ( /. ) e (eps (shards, 1, batch)) in
+        row "  %6d %7d %6d  %12.0f  %10.2fx  %10s\n" shards clients batch
+          e.median speedup.median (fmt_ms rtt.median);
+        Obj
+          ([
+             ("shards", Int shards); ("clients", Int clients);
+             ("batch", Int batch); ("events", Int total);
+           ]
+          @ timed "events_per_sec" e
+          @ timed "flush_rtt_ms" rtt
+          @ timed "speedup_vs_1client" speedup))
+      cells
   in
   (* slow-consumer mini-run: a raw subscriber that never reads its socket
      against a tiny outlet — the shed books must balance exactly *)
   let shed_run () =
     let pool =
-      Sentinel.Shard_pool.create ~shards:2
+      Pool.create ~shards:2
         ~init:(fun _ _ ->
           let db = Db.create () in
-          Workloads.Stock_market.install db;
+          Market.install db;
           System.create db)
         ()
     in
     Fun.protect
-      ~finally:(fun () -> Sentinel.Shard_pool.stop pool)
+      ~finally:(fun () -> Pool.stop pool)
       (fun () ->
-        let markets =
-          List.init 2 (fun i ->
-              match
-                Sentinel.Shard_pool.run_on pool i (fun sys ->
-                    Workloads.Stock_market.populate (System.db sys)
-                      (Prng.create (41 + i))
-                      ~stocks:8 ~indexes:0 ~portfolios:0)
-              with
-              | Ok m -> m
-              | Error e -> raise e)
-        in
-        let market =
-          {
-            Workloads.Stock_market.stocks =
-              Array.concat
-                (List.map
-                   (fun m -> m.Workloads.Stock_market.stocks)
-                   markets);
-            indexes = [||];
-            portfolios = [||];
-          }
-        in
+        let market = shard_market pool ~shards:2 ~tickers:16 ~seed:41 in
         let server =
-          Net.Server.create ~outlet_capacity:4
-            ~outlet_policy:Sentinel.Shard_pool.Shed_newest ~so_sndbuf:4096
-            ~pool ()
+          Net.Server.create ~outlet_capacity:4 ~outlet_policy:Pool.Shed_newest
+            ~so_sndbuf:4096 ~pool ()
         in
         Fun.protect
           ~finally:(fun () -> Net.Server.stop server)
@@ -2441,40 +2145,30 @@ let e_net () =
                      (Net.Frame.Subscribe
                         {
                           name = "bench-lazy";
-                          classes = [ Workloads.Stock_market.stock_class ];
+                          classes = [ Market.stock_class ];
                           expr =
                             Events.Codec.encode
-                              (Expr.eom
-                                 ~cls:Workloads.Stock_market.stock_class
-                                 "set_price");
+                              (Expr.eom ~cls:Market.stock_class "set_price");
                         }));
                 (match Net.Frame.read_fd fd with
                 | Net.Frame.Sub_ack _, _ -> ()
                 | _ -> failwith "E-net shed: expected Sub_ack");
                 (* bury the non-reading subscriber in notifications *)
-                let feed =
-                  Workloads.Stock_market.tick_batches (Prng.create 5) market
-                    ~tickers:16 ~rate:100 ~batches:40
-                in
-                List.iter
-                  (fun evs ->
-                    match Sentinel.Shard_pool.ingest pool evs with
-                    | Ok () -> ()
-                    | Error e ->
-                      failwith (Sentinel.Shard_pool.error_to_string e))
-                  feed;
-                Sentinel.Shard_pool.drain pool;
-                let deadline = Unix.gettimeofday () +. 5. in
+                Market.tick_batches (Prng.create 5) market ~tickers:16
+                  ~rate:100 ~batches:40
+                |> List.iter (fun evs -> pool_ok (Pool.ingest pool evs));
+                Pool.drain pool;
+                let deadline = Obs.Clock.now_ns () +. 5e9 in
                 let rec wait () =
                   let s = Net.Server.stats server in
                   if
-                    s.Net.Server.notifications_produced
-                    = s.Net.Server.notifications_enqueued
-                      + s.Net.Server.notifications_shed
-                      + s.Net.Server.notifications_parked
-                    && s.Net.Server.notifications_produced = 4_000
+                    (s.Net.Server.notifications_produced
+                     = s.Net.Server.notifications_enqueued
+                       + s.Net.Server.notifications_shed
+                       + s.Net.Server.notifications_parked
+                    && s.Net.Server.notifications_produced = 4_000)
+                    || Obs.Clock.now_ns () > deadline
                   then s
-                  else if Unix.gettimeofday () > deadline then s
                   else begin
                     Thread.delay 0.01;
                     wait ()
@@ -2491,71 +2185,54 @@ let e_net () =
   row "  slow consumer: produced %d = enqueued %d + shed %d + parked %d (%s)\n"
     produced enqueued shed parked
     (if exact then "exact" else "LEAK");
-  let eps_of shards clients batch =
-    List.find_map
-      (fun (s, c, b, eps, _, _) ->
-        if s = shards && c = clients && b = batch then Some eps else None)
-      cells
-    |> Option.get
-  in
-  let oc = open_out "BENCH_net.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E-net\",\n  \"events\": %d,\n  \"tickers\": %d,\n\
-    \  \"workload\": \"stock_market tick batches (seeded PRNG) sent by N \
-     concurrent protocol clients over TCP to one server fronting an \
-     N-shard pool, per-shard WAL attached fsync-per-commit, one reactive \
-     set_price rule per shard; each client flush = one Send_many frame = \
-     one partitioned cross-shard ingest, RTT measured per flush\",\n\
-    \  \"rows\": [\n"
-    events tickers;
-  List.iteri
-    (fun i (shards, clients, batch, eps, rtt, total) ->
-      Printf.fprintf oc
-        "    {\"shards\": %d, \"clients\": %d, \"batch\": %d, \"events\": \
-         %d, \"events_per_sec\": %.0f, \"flush_rtt_ms\": %.3f, \
-         \"speedup_vs_1client\": %.2f}%s\n"
-        shards clients batch total eps rtt
-        (eps /. eps_of shards 1 batch)
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"shed_accounting\": {\"produced\": %d, \"enqueued\": %d, \"shed\": \
-     %d, \"parked\": %d, \"exact\": %b}\n\
-     }\n"
-    produced enqueued shed parked exact;
-  close_out oc;
-  row "  wrote BENCH_net.json\n";
-  if smoke then begin
-    (* gate 1: a client fleet must actually pipeline — 16 clients at
-       batch=1 on the 4-shard pool >= 2x one RTT-bound client *)
-    let c1 = eps_of 4 1 1 and c16 = eps_of 4 16 1 in
-    if c16 < 2. *. c1 then begin
-      row "  FAIL: 16 clients %.0f ev/s below 2x 1 client %.0f ev/s\n" c16 c1;
-      exit 1
-    end
-    else
-      row "  bench-smoke gate: 16 clients >= 2x 1 client at batch=1, 4 \
-           shards (%.1fx, ok)\n"
-        (c16 /. c1);
-    (* gate 2: the slow-consumer books must balance to the notification *)
-    if (not exact) || shed = 0 then begin
-      row "  FAIL: shed accounting produced %d <> enqueued %d + shed %d + \
-           parked %d (or nothing shed)\n"
-        produced enqueued shed parked;
-      exit 1
-    end
-    else
-      row "  bench-smoke gate: slow-consumer shed accounting exact (%d shed, \
-           ok)\n"
-        shed
-  end
+  write_bench ~experiment:"E-net" "BENCH_net.json"
+    [
+      ("events", Int events); ("tickers", Int tickers);
+      ( "workload",
+        Str
+          "stock_market tick batches (seeded PRNG) sent by N concurrent \
+           protocol clients over TCP to one server fronting an N-shard pool, \
+           per-shard WAL attached fsync-per-commit, one reactive set_price \
+           rule per shard; each client flush = one Send_many frame = one \
+           partitioned cross-shard ingest, RTT measured per flush" );
+      ("rows", List rows);
+      ( "shed_accounting",
+        Obj
+          [
+            ("produced", Int produced); ("enqueued", Int enqueued);
+            ("shed", Int shed); ("parked", Int parked); ("exact", Bool exact);
+          ] );
+    ];
+  (* a client fleet must actually pipeline — 16 clients at batch=1 on the
+     4-shard pool at least 2x one RTT-bound client — and the slow-consumer
+     books must balance to the notification *)
+  check
+    [
+      ratio_gate "16 clients vs 1 client at batch=1, 4 shards"
+        (eps (4, 16, 1))
+        (eps (4, 1, 1))
+        2.;
+      {
+        name = "slow-consumer notifications accounted";
+        value = float_of_int (enqueued + shed + parked);
+        cmp = Exactly;
+        bound = float_of_int produced;
+        detail = "enqueued + shed + parked = produced";
+      };
+      {
+        name = "slow-consumer notifications shed";
+        value = float_of_int shed;
+        cmp = At_least;
+        bound = 1.;
+        detail = "the tiny outlet must overflow";
+      };
+    ]
 
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
+    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
     ("routing", e_routing);
     ("oltp", e_oltp);
     ("recovery", e_recovery);
@@ -2580,4 +2257,5 @@ let () =
   end;
   print_endline "Sentinel reproduction benchmarks (see EXPERIMENTS.md)";
   List.iter (fun (_, f) -> f ()) selected;
-  print_newline ()
+  print_newline ();
+  finish ()

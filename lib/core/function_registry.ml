@@ -34,10 +34,6 @@ let find_condition t name = find t.conditions "condition" name
 let find_action t name = (find t.actions "action" name).a_fn
 let action_effects t name = (find t.actions "action" name).a_may_send
 
-let names tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
-let condition_names t = names t.conditions
-let action_names t = names t.actions
-
 let create () =
   let t = { conditions = Hashtbl.create 16; actions = Hashtbl.create 16 } in
   register_condition t "true" (fun _ _ -> true);

@@ -44,9 +44,6 @@ val action_effects : t -> string -> (string * Oodb.Types.modifier) list
 (** The [may_send] declaration of a registered action.
     @raise Errors.Type_error on unknown names. *)
 
-val condition_names : t -> string list
-val action_names : t -> string list
-
 (** {1 Built-ins}
 
     Every registry is created with two built-ins:

@@ -211,8 +211,6 @@ let register_wildcard t ~consumer ?(guard = default_guard) handler =
 let registered t consumer =
   Oid.Table.mem t.regs consumer || Oid.Table.mem t.wildcards consumer
 
-let reg_count t = Oid.Table.length t.regs + Oid.Table.length t.wildcards
-
 let leaf_count t =
   Hashtbl.fold (fun _ b acc -> acc + List.length b.b_rev) t.index 0
 

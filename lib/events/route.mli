@@ -19,9 +19,8 @@ open Import
     invalidates them by bumping a stamp, costing one integer compare per
     probe in the steady state.
 
-    This generalizes {!Event_graph} (an index over bare detectors) to the
-    full rule layer: subscription filtering, enable/disable lifecycle and
-    temporal clock driving.
+    Beyond the index itself it serves the full rule layer: subscription
+    filtering, enable/disable lifecycle and temporal clock driving.
 
     Observable differences from broadcast delivery, by design: a consumer's
     [on_receive] fires only for occurrences whose (method, modifier) has a
@@ -105,6 +104,3 @@ val reset_counters : t -> unit
 
 val leaf_count : t -> int
 (** Total leaf entries currently indexed. *)
-
-val reg_count : t -> int
-(** Registered consumers (detectors plus wildcards). *)

@@ -325,14 +325,6 @@ let slot_get db oid (s : slot) =
       raise e
   end
 
-let slot_get_opt db oid (s : slot) =
-  let o = Heap.find_obj db oid in
-  let i = find_slot o s in
-  if i < 0 then None
-  else
-    let v = Array.unsafe_get o.slots i in
-    if v == absent then None else Some v
-
 let slot_set_raw db oid (s : slot) v =
   let o = Heap.find_obj db oid in
   let i = slot_index o s in

@@ -81,10 +81,9 @@ val resolve : t -> string -> string -> slot
     @raise Errors.No_such_attribute *)
 
 val slot_get : t -> Oid.t -> slot -> Value.t
-val slot_get_opt : t -> Oid.t -> slot -> Value.t option
 val slot_set : t -> Oid.t -> slot -> Value.t -> unit
 (** Same semantics (undo logging, index maintenance, absence errors) as the
-    string-keyed {!get}/{!get_opt}/{!set}. *)
+    string-keyed {!get}/{!set}. *)
 
 val iter_rev : ('a -> unit) -> 'a list -> unit
 (** Iterate a newest-first list in subscription (oldest-first) order.

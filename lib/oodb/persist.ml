@@ -186,8 +186,6 @@ let write db emit =
   emit_indexes emit db;
   pr "EOF\n"
 
-let to_channel db oc = write db (output_string oc)
-
 let to_string db =
   let buf = Buffer.create 4096 in
   write db (Buffer.add_string buf);
@@ -335,8 +333,6 @@ let read db read_line =
      it carries is clean relative to it. *)
   db.snapshot_seq <- db.wal_applied_seq;
   Heap.clear_dirty db
-
-let of_channel db ic = read db (fun () -> In_channel.input_line ic)
 
 let of_string db s =
   let lines = String.split_on_char '\n' s in

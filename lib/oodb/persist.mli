@@ -13,7 +13,6 @@
     in the target database first; the loader fails on objects of unknown
     classes. *)
 
-val to_channel : Db.t -> out_channel -> unit
 val to_string : Db.t -> string
 
 val save : ?storage:Storage.t -> Db.t -> string -> unit
@@ -26,15 +25,13 @@ val save : ?storage:Storage.t -> Db.t -> string -> unit
     predates it cannot double-apply batches.  [storage] (default
     {!Storage.unix}) selects the I/O backend. *)
 
-val of_channel : Db.t -> in_channel -> unit
-(** [of_channel db ic] populates [db] — which must contain no objects but
-    must already have all needed classes registered — from the stream.
+val of_string : Db.t -> string -> unit
+(** [of_string db s] populates [db] — which must contain no objects but
+    must already have all needed classes registered — from the text.
     @raise Errors.Parse_error on malformed input
     @raise Errors.No_such_class for objects of unregistered classes
     @raise Errors.Transaction_error when [db] already contains objects or a
     transaction is open. *)
-
-val of_string : Db.t -> string -> unit
 
 val load : ?storage:Storage.t -> Db.t -> string -> unit
 (** Read a snapshot file through [storage] (default {!Storage.unix}). *)

@@ -32,14 +32,5 @@ let getter attr =
   let resolve = memo_slot attr in
   fun db self _args -> Db.slot_get db self (resolve db self)
 
-let adder attr =
-  let resolve = memo_slot attr in
-  fun db self args ->
-    let delta = Value.to_float (one_arg attr args) in
-    let s = resolve db self in
-    let current = Value.to_float (Db.slot_get db self s) in
-    Db.slot_set db self s (Value.Float (current +. delta));
-    Value.Null
-
 let apply_ops db ops =
   List.iter (fun (oid, meth, args) -> ignore (Db.send db oid meth args)) ops

@@ -7,9 +7,6 @@ val setter : string -> Oodb.Schema.method_impl
 val getter : string -> Oodb.Schema.method_impl
 (** [getter attr] ignores its arguments and returns the attribute. *)
 
-val adder : string -> Oodb.Schema.method_impl
-(** [adder attr] adds its single numeric argument to a float attribute. *)
-
 val apply_ops : Oodb.Db.t -> (Oodb.Oid.t * string * Oodb.Value.t list) list -> unit
 (** Send each operation in order. *)
 

@@ -18,14 +18,17 @@
 # Gates (repeatable, in any order before the directories):
 #   --fail-below PATH_REGEX MIN_RATIO
 #       exit 1 if any metric whose flattened (file-prefixed) path matches
-#       PATH_REGEX has fresh/baseline below MIN_RATIO.  Use generous
-#       floors — this is a catastrophic-regression catch, not a
-#       benchmark; absolute numbers swing by runner.
+#       PATH_REGEX has fresh/baseline below MIN_RATIO, or if no metric
+#       present on both sides matches.  Use generous floors — this is a
+#       catastrophic-regression catch, not a benchmark; absolute numbers
+#       swing by runner.
 #   --fail-ratio-below NUM_PATH DEN_PATH MIN
 #       exit 1 if fresh[NUM_PATH] / fresh[DEN_PATH] is below MIN.  Both
 #       are exact file-prefixed paths within the fresh files; both sides
 #       ran on the same box in the same run, so the floor can be tight.
-#       A missing path skips the gate.
+#
+# A gate that addresses no metric fails: a renamed key must not switch a
+# gate off unseen.
 set -euo pipefail
 
 gate_regexes=()
@@ -126,14 +129,21 @@ fi
 for i in "${!gate_regexes[@]}"; do
   regex="${gate_regexes[$i]}"
   floor="${gate_floors[$i]}"
+  matched=0
   while read -r path base_v fresh_v; do
     [ "$base_v" = "-" ] || [ "$fresh_v" = "-" ] && continue
+    matched=1
     awk -v b="$base_v" -v f="$fresh_v" -v m="$floor" \
       'BEGIN { exit !(b > 0 && f / b < m) }' || continue
     echo "bench-compare: FAIL $path ratio $(awk -v b="$base_v" -v f="$fresh_v" \
       'BEGIN { printf "%.2f", f / b }') below floor $floor" >&2
     fail=1
   done < <(grep -E "^${regex} " <<<"$joined" || true)
+  if [ "$matched" = 0 ]; then
+    echo "bench-compare: FAIL gate $regex matches no metric present in both" \
+      "baseline and fresh results" >&2
+    fail=1
+  fi
 done
 
 for i in "${!ratio_nums[@]}"; do
@@ -143,7 +153,9 @@ for i in "${!ratio_nums[@]}"; do
   num=$(awk -v p="$num_path" '$1 == p { print $2 }' <<<"$fresh_flat")
   den=$(awk -v p="$den_path" '$1 == p { print $2 }' <<<"$fresh_flat")
   if [ -z "$num" ] || [ -z "$den" ]; then
-    echo "bench-compare: ratio gate $num_path / $den_path skipped (path missing)"
+    echo "bench-compare: FAIL ratio gate $num_path / $den_path: path missing" \
+      "from the fresh results" >&2
+    fail=1
     continue
   fi
   if awk -v n="$num" -v d="$den" -v m="$floor" \
